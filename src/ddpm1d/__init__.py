@@ -7,15 +7,12 @@ from .diffusion import (
     DIVERGENCE_LIMIT,
     SamplerOptions,
     gaussian_options,
-    generate,
     generate_block,
     mlp_predictor,
     noiseless_reverse_chain,
     oracle_predictor,
-    q_sample,
     q_sample_block,
     reverse_mean,
-    reverse_step,
     sigma_sq,
 )
 from .errors import ConfigError, DivergenceError
@@ -27,8 +24,6 @@ from .experiment import (
     evaluate_trial,
     run_experiment,
     run_suite,
-    run_table1,
-    run_table2,
     run_trial,
     run_trials,
     summarize,
@@ -42,13 +37,12 @@ from .mlp import (
     TrainBatch,
     adam_step,
     finite_diff_check,
-    forward,
     forward_batch,
     init_params,
     loss_and_grad,
     sgd_step,
 )
-from .noise import MomentReport, NoiseSpec, analytic_variance, moment_report, sample, sample_block
+from .noise import MomentReport, NoiseSpec, analytic_variance, moment_report, sample_block
 from .prng import RngStream, seed_stream
 from .schedule import Schedule, build_linear, retention
 
@@ -73,10 +67,8 @@ __all__ = [
     "build_linear",
     "evaluate_trial",
     "finite_diff_check",
-    "forward",
     "forward_batch",
     "gaussian_options",
-    "generate",
     "generate_block",
     "init_params",
     "loss_and_grad",
@@ -84,18 +76,13 @@ __all__ = [
     "moment_report",
     "noiseless_reverse_chain",
     "oracle_predictor",
-    "q_sample",
     "q_sample_block",
     "retention",
     "reverse_mean",
-    "reverse_step",
     "run_experiment",
     "run_suite",
-    "run_table1",
-    "run_table2",
     "run_trial",
     "run_trials",
-    "sample",
     "sample_block",
     "seed_stream",
     "sgd_step",

@@ -2,10 +2,20 @@
 noise-prediction oracle that exists because the data distribution is a point
 mass.
 
-A predictor is any callable ``pred(x_t, t) -> eps_hat`` where ``x_t`` may be
-a float or an ndarray of chain states and ``t`` is the 1-based step. The
-oracle predictor inverts the forward map exactly; ``mlp_predictor`` wraps
-trained weights with the normalized-time input convention t_norm = t / T.
+A predictor is any callable ``pred(x_t, t) -> eps_hat`` where ``x_t`` is an
+ndarray of chain states (a float in ``noiseless_reverse_chain``) and ``t`` is
+the 1-based step. The oracle predictor inverts the forward map exactly;
+``mlp_predictor`` wraps trained weights with the normalized-time input
+convention t_norm = t / T.
+
+Stream layout of ``generate_block``: one ``init_noise`` block of ``n`` draws
+for x_T, then one ``reverse_noise`` block of ``n`` per noisy step, from t = T
+down; the final step draws nothing when ``final_step_noiseless`` is set. Each
+block follows the family layout of the noise module.
+
+A state is diverged when it is non-finite or beyond DIVERGENCE_LIMIT.
+``generate_block`` returns that as a per-chain mask; ``noiseless_reverse_chain``
+raises ``DivergenceError`` with the step.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .errors import ConfigError, DivergenceError
-from .mlp import MlpParams, forward, forward_batch
+from .mlp import MlpParams, forward_batch
 from .noise import NoiseSpec
 from .prng import RngStream
 from .schedule import Schedule
@@ -26,7 +36,7 @@ Predictor = Callable[..., object]
 
 SIGMA_MODES = ("beta", "beta_tilde")
 
-# any |x_t| beyond this flags the chain as diverged
+# a state is diverged when |x_t| <= DIVERGENCE_LIMIT fails: beyond it, or NaN
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -53,15 +63,11 @@ def gaussian_options(
     return SamplerOptions(g, g, sigma_mode, final_step_noiseless)
 
 
-def q_sample(x0: float, t: int, s: Schedule, eps: float) -> float:
-    """Forward corruption: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
-    s._check_t(t)
-    ab = s.alpha_bar[t - 1]
-    return float(np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps)
-
-
 def q_sample_block(x0: float, ts: np.ndarray, s: Schedule, eps: np.ndarray) -> np.ndarray:
-    """Vectorized forward corruption; ``ts`` holds 1-based steps."""
+    """Forward corruption sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps; ``ts`` holds
+    1-based steps."""
+    if ts.min() < 1 or ts.max() > s.T:
+        raise IndexError(f"steps outside 1..{s.T}: [{ts.min()}, {ts.max()}]")
     ab = s.alpha_bar[ts - 1]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
@@ -84,9 +90,7 @@ def oracle_predictor(x0: float, s: Schedule) -> Predictor:
 def mlp_predictor(params: MlpParams, T: int, activation: str = "relu") -> Predictor:
     """Wrap trained weights as a predictor with t_norm = t / T."""
 
-    def predict(x_t, t: int):
-        if np.ndim(x_t) == 0:
-            return forward(params, float(x_t), t / T, activation)
+    def predict(x_t: np.ndarray, t: int) -> np.ndarray:
         X = np.column_stack([x_t, np.full(len(x_t), t / T)])
         return forward_batch(params, X, activation)
 
@@ -109,48 +113,19 @@ def reverse_mean(pred: Predictor, x_t, t: int, s: Schedule):
     return (x_t - coef * eps_hat) / np.sqrt(s.alpha_at(t))
 
 
-def reverse_step(
-    pred: Predictor, x_t: float, t: int, s: Schedule, opts: SamplerOptions, g: RngStream
-) -> float:
-    """One ancestral step t -> t-1. At t = 1 with final_step_noiseless no draw
-    is consumed."""
-    mean = reverse_mean(pred, x_t, t, s)
-    if t == 1 and opts.final_step_noiseless:
-        x = float(mean)
-    else:
-        z = noise_mod.sample(opts.reverse_noise, g)
-        x = float(mean + np.sqrt(sigma_sq(s, t, opts.sigma_mode)) * z)
-    if not np.isfinite(x):
-        raise DivergenceError(f"non-finite state leaving step t={t}", step=t)
-    return x
-
-
-def generate(pred: Predictor, s: Schedule, opts: SamplerOptions, g: RngStream) -> float:
-    """Draw x_T from init_noise and run the full reverse chain down to x0-hat."""
-    x = noise_mod.sample(opts.init_noise, g)
-    for t in range(s.T, 0, -1):
-        x = reverse_step(pred, x, t, s, opts, g)
-        if abs(x) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"|x| exceeded {DIVERGENCE_LIMIT:g} leaving step t={t}", step=t
-            )
-    return x
-
-
 def generate_block(
     pred: Predictor, n: int, s: Schedule, opts: SamplerOptions, g: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` reverse chains advanced in lockstep.
 
-    Per step the chains share one block of reverse-noise draws (init block
-    first, then one block per noisy step). Chains that go non-finite or beyond
-    DIVERGENCE_LIMIT at any step are flagged in the returned mask and carried
-    along without affecting the others.
+    Draws follow the stream layout in the module docstring. Chains that
+    diverge at any step are flagged in the returned mask and carried along
+    without affecting the others.
 
     Returns ``(x0_hats, diverged_mask)``.
     """
     x = noise_mod.sample_block(opts.init_noise, n, g)
-    alive = np.isfinite(x) & (np.abs(x) <= DIVERGENCE_LIMIT)
+    alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         for t in range(s.T, 0, -1):
             mean = reverse_mean(pred, x, t, s)
@@ -159,7 +134,7 @@ def generate_block(
             else:
                 z = noise_mod.sample_block(opts.reverse_noise, n, g)
                 x = mean + np.sqrt(sigma_sq(s, t, opts.sigma_mode)) * z
-            alive &= np.isfinite(x) & (np.abs(x) <= DIVERGENCE_LIMIT)
+            alive &= np.abs(x) <= DIVERGENCE_LIMIT
     return x, ~alive
 
 
@@ -172,6 +147,6 @@ def noiseless_reverse_chain(pred: Predictor, x_start: float, s: Schedule) -> flo
     x = float(x_start)
     for t in range(s.T, 0, -1):
         x = float(reverse_mean(pred, x, t, s))
-        if not np.isfinite(x):
-            raise DivergenceError(f"non-finite state leaving step t={t}", step=t)
+        if not abs(x) <= DIVERGENCE_LIMIT:
+            raise DivergenceError(f"state {x} leaving step t={t} diverged", step=t)
     return x

@@ -80,8 +80,8 @@ class ExperimentConfig:
                 f"batch_size ({self.batch_size}) cannot exceed "
                 f"samples_per_epoch ({self.samples_per_epoch})"
             )
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.error_metric not in ERROR_METRICS:
             raise ConfigError(
                 f"unknown error_metric {self.error_metric!r}; expected one of {ERROR_METRICS}"
@@ -165,15 +165,20 @@ class ExperimentConfig:
                 if key == "noise":
                     kwargs[attr] = NoiseSpec.from_dict(value)
                 elif key in int_keys:
+                    # int(nan) raises ValueError, int(inf) OverflowError
+                    if isinstance(value, bool) or int(value) != value:
+                        raise ValueError("not an integer")
                     kwargs[attr] = int(value)
                 elif key in float_keys:
                     kwargs[attr] = float(value)
                 elif key in bool_keys:
-                    kwargs[attr] = bool(value)
+                    if not isinstance(value, bool):
+                        raise ValueError("not true or false")
+                    kwargs[attr] = value
                 else:
                     kwargs[attr] = str(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for config key {key!r}: {value!r} ({exc})") from exc
         cfg = cls(**kwargs)
         if cfg.normalize_mixture and cfg.noise.family == "mixture":
             cfg = replace(cfg, noise=replace(cfg.noise, normalize_to_unit=True))
@@ -216,7 +221,8 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[mlp.MlpParams, float
     """Train one denoiser; returns (params, mean loss of the last epoch).
 
     With epochs = 0 the freshly initialized parameters come back untouched and
-    the loss is nan.
+    the loss is nan. A non-finite minibatch loss raises DivergenceError whose
+    ``step`` is the 1-based epoch.
     """
     sched = cfg.schedule()
     params = mlp.init_params(init_stream(cfg, trial))
@@ -224,17 +230,14 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[mlp.MlpParams, float
     state = mlp.AdamState.zeros()
     n = cfg.samples_per_epoch
     T = cfg.steps
-    sqrt_ab = np.sqrt(sched.alpha_bar)
-    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar)
     final_loss = math.nan
     # overflow during a diverging trial is expected; it is caught via the
-    # finite-loss check and reported as a flagged trial, not a crash
+    # finite-loss check and raised as DivergenceError, not a numpy warning
     with np.errstate(all="ignore"):
-        for epoch in range(cfg.epochs):
+        for epoch in range(1, cfg.epochs + 1):
             ts = np.floor(g.uniforms(n) * T).astype(np.int64) + 1  # uniform on {1..T}
             eps = noise_mod.sample_block(cfg.noise, n, g)
-            x_t = sqrt_ab[ts - 1] * cfg.x0 + sqrt_1mab[ts - 1] * eps
-            X = np.column_stack([x_t, ts / T])
+            X = np.column_stack([diffusion.q_sample_block(cfg.x0, ts, sched, eps), ts / T])
             sq_err = 0.0
             for lo in range(0, n, cfg.batch_size):
                 Xb = X[lo : lo + cfg.batch_size]
@@ -280,12 +283,11 @@ def evaluate_trial(
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, mlp.MlpParams | None]:
-    """One full train-then-generate trial; never raises on divergence."""
+    """One full train-then-generate trial. A divergence in either phase comes
+    back as a flagged result, with the params when training finished."""
+    params, final_loss = None, math.nan
     try:
         params, final_loss = train_trial(cfg, trial)
-    except DivergenceError:
-        return TrialResult(trial, cfg.base_seed, math.nan, math.nan, True), None
-    try:
         gen_error = evaluate_trial(params, cfg, trial)
     except DivergenceError:
         return TrialResult(trial, cfg.base_seed, final_loss, math.nan, True), params
@@ -293,33 +295,37 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, mlp.MlpPa
 
 
 def run_trials(
-    cfg: ExperimentConfig,
+    tasks: list[tuple[ExperimentConfig, int]],
     workers: int = 1,
-    on_result: Callable[[TrialResult], None] | None = None,
+    on_result: Callable[[int, TrialResult], None] | None = None,
 ) -> list[tuple[TrialResult, mlp.MlpParams | None]]:
-    """All trials of one config, optionally in parallel; output is ordered by
-    trial index regardless of completion order."""
-    if workers <= 1 or cfg.trials <= 1:
-        out = []
-        for i in range(cfg.trials):
-            pair = run_trial(cfg, i)
-            if on_result is not None:
-                on_result(pair[0])
-            out.append(pair)
-        return out
-    pairs: list = [None] * cfg.trials
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run_trial, cfg, i): i for i in range(cfg.trials)}
+    """Run ``(config, trial)`` tasks, over one process pool of at most
+    ``min(workers, len(tasks))`` workers when that is above 1. The output
+    follows task order regardless of completion order; ``on_result`` gets each
+    task's index and result as it finishes."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    pairs: list = [None] * len(tasks)
+
+    def finish(i: int, pair) -> None:
+        pairs[i] = pair
+        if on_result is not None:
+            on_result(i, pair[0])
+
+    if min(workers, len(tasks)) <= 1:
+        for i, task in enumerate(tasks):
+            finish(i, run_trial(*task))
+        return pairs
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = {pool.submit(run_trial, *task): i for i, task in enumerate(tasks)}
         for fut in as_completed(futures):
-            pair = fut.result()
-            pairs[futures[fut]] = pair
-            if on_result is not None:
-                on_result(pair[0])
+            finish(futures[fut], fut.result())
     return pairs
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
-    return [result for result, _ in run_trials(cfg, workers)]
+    tasks = [(cfg, i) for i in range(cfg.trials)]
+    return [result for result, _ in run_trials(tasks, workers)]
 
 
 def summarize(results: list[TrialResult], label: str) -> SummaryRow:
@@ -368,30 +374,18 @@ def run_suite(
     workers: int = 1,
     on_result: Callable[[str, TrialResult], None] | None = None,
 ) -> list[DistributionRun]:
-    """Run the same config across several noise distributions (matched seeds)."""
+    """Run the same config across several noise distributions (matched seeds),
+    all ``(distribution, trial)`` tasks in one pool."""
+    labels = [label for label, _ in distributions]
+    tasks = [(replace(cfg, noise=spec), i) for _, spec in distributions
+             for i in range(cfg.trials)]
+    callback = None
+    if on_result is not None:
+        callback = lambda k, r: on_result(labels[k // cfg.trials], r)
+    pairs = run_trials(tasks, workers, callback)
     runs = []
-    for label, spec in distributions:
-        sub = replace(cfg, noise=spec)
-        callback = None
-        if on_result is not None:
-            callback = lambda r, lab=label: on_result(lab, r)
-        pairs = run_trials(sub, workers, callback)
-        results = [result for result, _ in pairs]
-        runs.append(
-            DistributionRun(label, results, summarize(results, label), pairs[0][1])
-        )
+    for j, label in enumerate(labels):
+        chunk = pairs[j * cfg.trials : (j + 1) * cfg.trials]
+        results = [result for result, _ in chunk]
+        runs.append(DistributionRun(label, results, summarize(results, label), chunk[0][1]))
     return runs
-
-
-def run_table1(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
-    return [run.summary for run in run_suite(cfg, table1_distributions(), workers)]
-
-
-def run_table2(
-    cfg: ExperimentConfig, workers: int = 1, normalize: bool | None = None
-) -> list[SummaryRow]:
-    if normalize is None:
-        normalize = cfg.normalize_mixture
-    return [
-        run.summary for run in run_suite(cfg, table2_distributions(normalize), workers)
-    ]

@@ -129,15 +129,6 @@ def _act_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - h * h
 
 
-def forward(p: MlpParams, x_t: float, t_norm: float, activation: str = "relu") -> float:
-    """Predicted noise for one (x_t, t_norm) input."""
-    if not (np.isfinite(x_t) and np.isfinite(t_norm)):
-        raise ValueError(f"non-finite network input ({x_t}, {t_norm})")
-    x = np.array([x_t, t_norm])
-    h = _act(p.W1 @ x + p.b1, activation)
-    return float(p.W2 @ h + p.theta[_B2])
-
-
 def forward_batch(p: MlpParams, X: np.ndarray, activation: str = "relu") -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
     h = _act(X @ p.W1.T + p.b1, activation)

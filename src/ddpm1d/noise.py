@@ -12,18 +12,13 @@ parameters must be positive) it is the one whose density peaks at the two
 support endpoints, and standardizing Beta(1/2, 1/2) (mean 1/2, variance 1/8)
 gives unit variance on [-sqrt(2), sqrt(2)].
 
-Uniform draws consumed per scalar ``sample()`` call are fixed per family so
-sequences survive refactors:
+``sample_block`` draws ``n`` values at once; training, evaluation and
+``moment_report`` all sample through it. The stream layout of one block is
+fixed per family so sequences survive refactors:
 
-    uniform / arcsine: 1
-    gaussian:          2 per Box-Muller pair (second variate cached)
-    mixture:           1 selector, then one gaussian from the shared pair cache
-
-``sample_block`` is the vectorized path used by training, evaluation and
-``moment_report``. For gaussian / uniform / arcsine it is bit-identical to
-repeated ``sample()`` calls. For the mixture the block layout differs: all
-``n`` selector uniforms are drawn first, then ``n`` gaussians. Experiments
-always sample through the block path, so results are reproducible either way.
+    uniform / arcsine: n uniforms, one per value
+    gaussian:          n gaussians (Box-Muller pairs, see the prng module)
+    mixture:           n selector uniforms first, then n gaussians
 """
 
 from __future__ import annotations
@@ -63,8 +58,8 @@ class NoiseSpec:
             )
         if not 0.0 <= self.mix_prob <= 1.0:
             raise ConfigError(f"mix_prob must be in [0, 1], got {self.mix_prob}")
-        if self.big_variance <= 0.0:
-            raise ConfigError(f"big_variance must be > 0, got {self.big_variance}")
+        if not (np.isfinite(self.big_variance) and self.big_variance > 0.0):
+            raise ConfigError(f"big_variance must be finite and > 0, got {self.big_variance}")
 
     def label(self) -> str:
         if self.family == "mixture":
@@ -93,7 +88,11 @@ class NoiseSpec:
         if "big_variance" in d:
             kwargs["big_variance"] = float(d["big_variance"])
         if "normalize" in d:
-            kwargs["normalize_to_unit"] = bool(d["normalize"])
+            if not isinstance(d["normalize"], bool):
+                raise ConfigError(
+                    f"noise key 'normalize' must be true or false, got {d['normalize']!r}"
+                )
+            kwargs["normalize_to_unit"] = d["normalize"]
         return cls(**kwargs)
 
 
@@ -108,27 +107,8 @@ def analytic_variance(spec: NoiseSpec) -> float:
     return _mixture_raw_variance(spec)
 
 
-def sample(spec: NoiseSpec, g: RngStream) -> float:
-    """One draw from ``spec``, consuming the per-family draw count documented above."""
-    if spec.family == "gaussian":
-        return g.next_gaussian()
-    if spec.family == "uniform":
-        return float((2.0 * g.next_uniform01() - 1.0) * _SQRT3)
-    if spec.family == "arcsine":
-        b = np.sin(_HALF_PI * g.next_uniform01()) ** 2
-        return float((b - 0.5) * _SQRT8)
-    # mixture: selector first, then one gaussian from the shared pair cache
-    narrow = g.next_uniform01() < spec.mix_prob
-    z = g.next_gaussian()
-    if not narrow:
-        z = float(z * np.sqrt(spec.big_variance))
-    if spec.normalize_to_unit:
-        z = float(z / np.sqrt(_mixture_raw_variance(spec)))
-    return z
-
-
 def sample_block(spec: NoiseSpec, n: int, g: RngStream) -> np.ndarray:
-    """``n`` draws from ``spec`` in the documented block layout."""
+    """``n`` draws from ``spec`` in the block layout documented above."""
     if spec.family == "gaussian":
         return g.gaussians(n)
     if spec.family == "uniform":

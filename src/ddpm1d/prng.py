@@ -10,12 +10,13 @@ The experiment harness assigns stream ids per trial ``i`` as:
     2 * i      weight init, then evaluation noise (after the init draws)
     2 * i + 1  training noise
 
-Gaussians come from the Box-Muller transform on consecutive uniform pairs;
-both outputs of a pair are consumed in order (the second variate is cached
-and returned by the next gaussian request on the same stream). All transform
-arithmetic goes through numpy ufuncs, never the ``math`` module: numpy ufuncs
-are elementwise identical regardless of array length, so the scalar and block
-paths below produce bit-identical sequences (the test suite checks this).
+Draws come in blocks. Gaussians come from the Box-Muller transform on
+consecutive uniform pairs; both outputs of a pair are consumed in order, and
+when a block has odd length the unused second variate is cached and opens the
+next gaussian block on the same stream. The transform goes through numpy
+ufuncs, never the ``math`` module, so an element's value does not depend on
+the block length: a stream's gaussian sequence is the same however it is split
+into blocks (the test suite checks this).
 """
 
 from __future__ import annotations
@@ -42,22 +43,13 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
 
-    def next_uniform01(self) -> float:
-        """One double in [0, 1) with 53 bits of mantissa entropy."""
-        self.uniforms_drawn += 1
-        return float(self._gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` consecutive uniforms; bit-identical to ``n`` next_uniform01() calls."""
+        """``n`` consecutive doubles in [0, 1), each with 53 bits of mantissa entropy."""
         self.uniforms_drawn += n
         return self._gen.random(n)
 
-    def next_gaussian(self) -> float:
-        """One standard normal draw (Box-Muller, pair cache honored)."""
-        return float(self.gaussians(1)[0])
-
     def gaussians(self, n: int) -> np.ndarray:
-        """``n`` standard normals; bit-identical to ``n`` next_gaussian() calls.
+        """``n`` standard normals, continuing the stream's pair cache.
 
         Each Box-Muller pair consumes exactly 2 uniforms (u1, u2) and yields
         z1 = r*cos(2*pi*u2), z2 = r*sin(2*pi*u2) with r = sqrt(-2*log(1 - u1));

@@ -181,6 +181,38 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--quiet"]) == 1
     assert "warmup" in capsys.readouterr().err
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"final_step_noiseless": "false"}, "final_step_noiseless"),
+        ({"noise": {"family": "mixture", "normalize": "no"}}, "normalize"),
+        ({"trials": 2.9}, "trials"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"noise": {"family": "mixture", "big_variance": float("nan")}}, "big_variance"),
+        ({"noise": {"family": "mixture", "big_variance": float("inf")}}, "big_variance"),
+    ],
+    ids=["bool-string", "normalize-string", "fractional-int", "lr-nan", "lr-inf",
+         "big-variance-nan", "big-variance-inf"],
+)
+def test_coerced_config_values_exit_code(tmp_path, capsys, extra, key):
+    # json writes nan/inf as NaN/Infinity, which json.loads reads back
+    path = write_tiny_config(tmp_path, **extra)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--quiet"]) == 1
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_exit_code(tmp_path, capsys, workers):
+    config = write_tiny_config(tmp_path)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out_dir),
+                 "--workers", workers, "--quiet"])
+    assert code == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out_dir.exists()
+
 def test_module_invocation_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "ddpm1d", "check"], capture_output=True, text=True

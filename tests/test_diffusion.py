@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from ddpm1d.diffusion import (
     SamplerOptions,
     gaussian_options,
-    generate,
     generate_block,
     mlp_predictor,
     noiseless_reverse_chain,
     oracle_predictor,
-    q_sample,
     q_sample_block,
     reverse_mean,
-    reverse_step,
     sigma_sq,
 )
 from ddpm1d.errors import ConfigError, DivergenceError
-from ddpm1d.mlp import init_params
+from ddpm1d.mlp import forward_batch, init_params
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 from ddpm1d.schedule import build_linear, retention
@@ -31,13 +28,18 @@ def sched():
     return build_linear(1e-4, 0.02, 500)
 
 
+def q_sample(x0, t, s, eps):
+    """Forward corruption of one value, as a one-element block."""
+    return float(q_sample_block(x0, np.array([t]), s, np.array([eps]))[0])
+
+
 @pytest.mark.parametrize("t", [1, 2, 250, 500])
 def test_q_sample_zero_noise(sched, t):
     assert q_sample(X0, t, sched, 0.0) == pytest.approx(retention(sched, t) * X0, rel=1e-15)
 
 
 def test_q_sample_terminal_value(sched):
-    # sqrt(alpha_bar_500) = 0.0797039449 exactly for this schedule
+    # sqrt(alpha_bar_500) = 0.0797038945 exactly for this schedule
     assert q_sample(X0, 500, sched, 0.0) == pytest.approx(0.5579272614362355, rel=1e-12)
 
 
@@ -46,6 +48,9 @@ def test_q_sample_out_of_range(sched):
         q_sample(X0, 0, sched, 0.0)
     with pytest.raises(IndexError):
         q_sample(X0, 501, sched, 0.0)
+    # one bad step anywhere in a block
+    with pytest.raises(IndexError):
+        q_sample_block(X0, np.array([3, 0, 7]), sched, np.zeros(3))
 
 
 @given(
@@ -63,18 +68,21 @@ def test_q_sample_block_matches_scalar(sched):
     ts = np.array([1, 17, 250, 500])
     eps = np.array([0.3, -1.2, 2.0, 0.0])
     block = q_sample_block(X0, ts, sched, eps)
-    scal = [q_sample(X0, int(t), sched, e) for t, e in zip(ts, eps)]
-    assert np.allclose(block, scal, atol=1e-15)
+    by_hand = [
+        np.sqrt(sched.alpha_bar_at(t)) * X0 + np.sqrt(1.0 - sched.alpha_bar_at(t)) * e
+        for t, e in zip(ts, eps)
+    ]
+    assert np.allclose(block, by_hand, atol=1e-15)
 
 
 def test_oracle_inverts_forward_map(sched):
     pred = oracle_predictor(X0, sched)
     g = seed_stream(11, 0)
-    for _ in range(1000):
-        t = int(g.next_uniform01() * 500) + 1
-        eps = g.next_gaussian()
-        x_t = q_sample(X0, t, sched, eps)
-        assert pred(x_t, t) == pytest.approx(eps, abs=1e-12)
+    ts = np.floor(g.uniforms(1000) * 500).astype(np.int64) + 1
+    eps = g.gaussians(1000)
+    x_t = q_sample_block(X0, ts, sched, eps)
+    for x, t, e in zip(x_t, ts, eps):
+        assert pred(x, int(t)) == pytest.approx(e, abs=1e-12)
 
 
 def test_oracle_zero_at_noiseless_point(sched):
@@ -102,21 +110,28 @@ def test_reverse_mean_with_null_predictor(sched):
 
 
 def test_final_step_noiseless_consumes_no_draw(sched):
-    g = seed_stream(0, 0)
-    opts = gaussian_options()
     null = lambda x, t: 0.0
-    reverse_step(null, 0.5, 1, sched, opts, g)
-    assert g.uniforms_drawn == 0
-    # any other step draws
-    reverse_step(null, 0.5, 2, sched, opts, g)
-    assert g.uniforms_drawn > 0
+    s1 = build_linear(0.5, 0.5, 1)
+    # one step: only the init block of 4 gaussians (2 pairs) is drawn
+    g = seed_stream(0, 0)
+    generate_block(null, 4, s1, gaussian_options(), g)
+    assert g.uniforms_drawn == 4
+    g = seed_stream(0, 0)
+    generate_block(null, 4, s1, gaussian_options(final_step_noiseless=False), g)
+    assert g.uniforms_drawn == 8
+    # T steps: the init block, then one block per step above t = 1
+    g = seed_stream(0, 0)
+    generate_block(null, 2, sched, gaussian_options(), g)
+    assert g.uniforms_drawn == 2 * sched.T
 
 
 def test_reverse_step_final_equals_mean(sched):
     null = lambda x, t: 0.0
-    opts = gaussian_options()
-    out = reverse_step(null, 0.5, 1, sched, opts, seed_stream(0, 0))
-    assert out == pytest.approx(0.5 / np.sqrt(sched.alpha_at(1)), rel=1e-15)
+    s1 = build_linear(0.5, 0.5, 1)
+    x_T = seed_stream(0, 0).gaussians(4)
+    x0_hats, diverged = generate_block(null, 4, s1, gaussian_options(), seed_stream(0, 0))
+    assert not diverged.any()
+    assert x0_hats == pytest.approx(x_T / np.sqrt(s1.alpha_at(1)), rel=1e-15)
 
 
 def test_noiseless_oracle_chain_contracts_to_target(sched):
@@ -133,10 +148,9 @@ def test_noiseless_chain_from_forward_sample(sched):
 
 def test_oracle_generation_is_exact_with_noiseless_final_step(sched):
     pred = oracle_predictor(X0, sched)
-    opts = gaussian_options()
-    g = seed_stream(1, 0)
-    for _ in range(20):
-        assert abs(generate(pred, sched, opts, g) - X0) < 1e-9
+    x0_hats, diverged = generate_block(pred, 20, sched, gaussian_options(), seed_stream(1, 0))
+    assert not diverged.any()
+    assert np.all(np.abs(x0_hats - X0) < 1e-9)
 
 
 def test_oracle_generation_block_mean(sched):
@@ -159,9 +173,9 @@ def test_oracle_generation_with_final_noise(sched):
 def test_single_step_schedule_recovers_target_exactly():
     s1 = build_linear(0.5, 0.5, 1)
     pred = oracle_predictor(X0, s1)
-    opts = gaussian_options()
-    x0_hat = generate(pred, s1, opts, seed_stream(2, 0))
-    assert abs(x0_hat - X0) < 1e-9
+    x0_hats, diverged = generate_block(pred, 5, s1, gaussian_options(), seed_stream(2, 0))
+    assert not diverged.any()
+    assert np.all(np.abs(x0_hats - X0) < 1e-9)
 
 
 def test_forward_marginal_moments(sched):
@@ -174,12 +188,20 @@ def test_forward_marginal_moments(sched):
     assert abs(x_t.var() - (1 - ab)) < 0.05 * (1 - ab)
 
 
-def test_generate_raises_with_step_index_on_divergence(sched):
-    exploding = lambda x, t: 1e9
-    opts = gaussian_options()
+@pytest.mark.parametrize(
+    "kind, step", [("nan", 500), ("exploding", 500), ("nan-below-step-10", 10)],
+    ids=["nan", "exploding", "nan-below-step-10"],
+)
+def test_noiseless_chain_raises_with_step_index_on_divergence(sched, kind, step):
+    oracle = oracle_predictor(X0, sched)
+    pred = {
+        "nan": lambda x, t: float("nan"),
+        "exploding": lambda x, t: 1e9,  # |x| passes DIVERGENCE_LIMIT at the first step
+        "nan-below-step-10": lambda x, t: oracle(x, t) if t > 10 else float("nan"),
+    }[kind]
     with pytest.raises(DivergenceError) as err:
-        generate(exploding, sched, opts, seed_stream(4, 0))
-    assert err.value.step == 500
+        noiseless_reverse_chain(pred, 0.5, sched)
+    assert err.value.step == step
 
 
 def test_generate_block_flags_divergence_per_chain(sched):
@@ -200,11 +222,8 @@ def test_generate_block_flags_divergence_per_chain(sched):
 def test_mlp_predictor_time_normalization(sched):
     params = init_params(seed_stream(5, 0))
     pred = mlp_predictor(params, sched.T)
-    from ddpm1d.mlp import forward
-
-    assert pred(0.5, 250) == forward(params, 0.5, 0.5)
-    batch = pred(np.array([0.5, 1.0]), 250)
-    assert batch[0] == pytest.approx(forward(params, 0.5, 0.5), rel=1e-14)
+    expected = forward_batch(params, np.array([[0.5, 0.5], [1.0, 0.5]]))
+    assert np.array_equal(pred(np.array([0.5, 1.0]), 250), expected)
 
 
 def test_sampler_options_validation():

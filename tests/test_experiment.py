@@ -1,11 +1,13 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ddpm1d.diffusion import oracle_predictor
-from ddpm1d.errors import ConfigError
+from ddpm1d import experiment
+from ddpm1d.diffusion import generate_block, mlp_predictor, oracle_predictor
+from ddpm1d.errors import ConfigError, DivergenceError
 from ddpm1d.experiment import (
     ExperimentConfig,
     TrialResult,
@@ -14,8 +16,6 @@ from ddpm1d.experiment import (
     init_stream,
     run_experiment,
     run_suite,
-    run_table1,
-    run_table2,
     run_trial,
     run_trials,
     summarize,
@@ -94,14 +94,15 @@ def test_evaluate_trial_zero_params_error_large():
 
 
 def test_gens_per_trial_one_is_single_sample_error():
-    from ddpm1d.diffusion import generate, mlp_predictor
-
     cfg = tiny_cfg(gens_per_trial=1)
     params, _ = train_trial(cfg, 0)
     err = evaluate_trial(params, cfg, 0)
     pred = mlp_predictor(params, cfg.steps, cfg.activation)
-    x0_hat = generate(pred, cfg.schedule(), cfg.sampler_options(), eval_stream(cfg, 0))
-    assert err == pytest.approx(abs(x0_hat - cfg.x0), rel=1e-12)
+    x0_hats, diverged = generate_block(
+        pred, 1, cfg.schedule(), cfg.sampler_options(), eval_stream(cfg, 0)
+    )
+    assert not diverged[0]
+    assert err == pytest.approx(abs(x0_hats[0] - cfg.x0), rel=1e-12)
 
 
 def test_error_metrics_differ():
@@ -118,6 +119,33 @@ def test_run_trial_handles_divergence_mark():
     result, params = run_trial(cfg, 0)
     assert result.diverged
     assert math.isnan(result.gen_error)
+
+
+def test_training_divergence_reports_one_based_epoch():
+    cfg = tiny_cfg(learning_rate=1e30, optimizer="sgd", epochs=5)
+    with pytest.raises(DivergenceError) as err:
+        train_trial(cfg, 0)
+    step = err.value.step
+    assert f"epoch {step}" in str(err.value)
+    # the step counts the epochs it took: one fewer trains without a blow-up
+    assert step >= 2
+    train_trial(replace(cfg, epochs=step - 1), 0)
+    with pytest.raises(DivergenceError) as again:
+        train_trial(replace(cfg, epochs=step), 0)
+    assert again.value.step == step
+
+
+def test_run_trial_flags_evaluation_divergence_and_keeps_params():
+    # every x_T is drawn with std ~3e7, beyond the divergence limit
+    cfg = tiny_cfg(noise=NoiseSpec("mixture", mix_prob=0.0, big_variance=1e15), epochs=1)
+    params, final_loss = train_trial(cfg, 0)
+    with pytest.raises(DivergenceError):
+        evaluate_trial(params, cfg, 0)
+    result, kept = run_trial(cfg, 0)
+    assert result.diverged
+    assert result.final_epoch_loss == final_loss
+    assert math.isnan(result.gen_error)
+    assert np.array_equal(kept.theta, params.theta)
 
 
 def test_single_trial_experiment():
@@ -145,8 +173,36 @@ def test_trial_results_independent_of_trial_count():
 def test_on_result_callback_sees_every_trial():
     cfg = tiny_cfg(trials=3)
     seen = []
-    run_trials(cfg, workers=1, on_result=lambda r: seen.append(r.trial_index))
-    assert sorted(seen) == [0, 1, 2]
+    tasks = [(cfg, i) for i in range(3)]
+    run_trials(tasks, workers=1, on_result=lambda k, r: seen.append((k, r.trial_index)))
+    assert sorted(seen) == [(0, 0), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_trials_rejects_non_positive_workers(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        run_trials([(tiny_cfg(), 0)], workers=workers)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """Stands in for the process pool and records every one built."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.built.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "built", [])
+    cfg = tiny_cfg(trials=1, epochs=1)
+    pooled = run_suite(cfg, table1_distributions(), workers=64)
+    assert RecordingPool.built == [3]  # one pool for 3 (distribution, trial) tasks
+    serial = run_suite(cfg, table1_distributions(), workers=1)
+    assert RecordingPool.built == [3]
+    assert [run.results for run in pooled] == [run.results for run in serial]
 
 
 def test_summarize_arithmetic():
@@ -210,9 +266,9 @@ def test_run_suite_smoke():
 
 def test_run_table_wrappers():
     cfg = tiny_cfg(trials=1, epochs=1)
-    rows1 = run_table1(cfg)
+    rows1 = [run.summary for run in run_suite(cfg, table1_distributions())]
     assert [s.label for s in rows1] == ["gaussian", "uniform", "arcsine"]
-    rows2 = run_table2(cfg, normalize=True)
+    rows2 = [run.summary for run in run_suite(cfg, table2_distributions(normalize=True))]
     assert [s.label for s in rows2] == ["gaussian", "mix0.9", "mix0.5"]
     for s in rows1 + rows2:
         assert s.n_trials == 1
@@ -264,6 +320,32 @@ def test_config_dict_roundtrip():
 def test_config_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError, match="momentum"):
         ExperimentConfig.from_dict({"momentum": 0.9})
+
+
+@pytest.mark.parametrize("key", ["final_step_noiseless", "normalize_mixture"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_booleans_must_be_json_booleans(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("value", [2.9, True, "2", float("nan"), float("inf"), None])
+def test_config_integers_must_be_integral(value):
+    with pytest.raises(ConfigError, match="trials"):
+        ExperimentConfig.from_dict({"trials": value})
+
+
+def test_config_integral_float_is_an_integer():
+    cfg = ExperimentConfig.from_dict({"trials": 3.0})
+    assert cfg.trials == 3 and isinstance(cfg.trials, int)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_learning_rate_must_be_finite(value):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        ExperimentConfig.from_dict({"learning_rate": value})
+    with pytest.raises(ConfigError, match="learning_rate"):
+        tiny_cfg(learning_rate=value)
 
 
 def test_sampler_options_follow_policy():

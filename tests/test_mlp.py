@@ -12,7 +12,6 @@ from ddpm1d.mlp import (
     TrainBatch,
     adam_step,
     finite_diff_check,
-    forward,
     forward_batch,
     init_params,
     loss_and_grad,
@@ -65,41 +64,35 @@ def test_init_deterministic_and_draw_count():
 def test_forward_zero_network_outputs_bias():
     p = MlpParams.zeros()
     p.theta[-1] = 3.0
-    for x in (-5.0, 0.0, 2.5):
-        assert forward(p, x, 0.5) == 3.0
+    X = np.array([[-5.0, 0.5], [0.0, 0.5], [2.5, 0.5]])
+    assert np.all(forward_batch(p, X) == 3.0)
 
 
 def test_forward_constant_hidden_layer():
     p = MlpParams.from_parts(
         np.zeros((HIDDEN, 2)), np.full(HIDDEN, 0.25), np.ones(HIDDEN), 0.0
     )
-    assert forward(p, 1.0, 0.1) == pytest.approx(HIDDEN * 0.25)
-    assert forward(p, -9.0, 0.9) == pytest.approx(HIDDEN * 0.25)
+    out = forward_batch(p, np.array([[1.0, 0.1], [-9.0, 0.9]]))
+    assert out == pytest.approx([HIDDEN * 0.25, HIDDEN * 0.25])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_matches_hand_oracle(seed):
     p = random_params(seed)
     g = seed_stream(seed, 5)
-    for _ in range(20):
-        x_t, t_norm = g.next_gaussian() * 4.0, g.next_uniform01()
-        assert forward(p, x_t, t_norm) == pytest.approx(
-            forward_by_hand(p, x_t, t_norm), abs=1e-12
-        )
+    X = np.column_stack([g.gaussians(20) * 4.0, g.uniforms(20)])
+    by_hand = [forward_by_hand(p, x_t, t_norm) for x_t, t_norm in X]
+    assert forward_batch(p, X) == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_forward_batch_matches_scalar():
+    # a block of 16 rows equals 16 one-row blocks
     p = random_params(3)
     g = seed_stream(3, 5)
     X = np.column_stack([g.gaussians(16) * 2.0, g.uniforms(16)])
     batch_out = forward_batch(p, X)
-    scalar_out = np.array([forward(p, x, t) for x, t in X])
-    assert np.allclose(batch_out, scalar_out, atol=1e-14)
-
-
-def test_forward_rejects_non_finite_input():
-    with pytest.raises(ValueError):
-        forward(random_params(0), float("nan"), 0.5)
+    row_out = np.array([forward_batch(p, X[i : i + 1])[0] for i in range(len(X))])
+    assert np.allclose(batch_out, row_out, atol=1e-14)
 
 
 def test_loss_zero_at_perfect_prediction():
@@ -115,7 +108,7 @@ def test_output_bias_gradient_single_sample():
     p = random_params(4)
     x_t, t_norm = 0.5, 0.2
     batch = TrainBatch(np.array([[x_t, t_norm]]), np.array([0.0]))
-    pred = forward(p, x_t, t_norm)
+    pred = forward_batch(p, batch.inputs)[0]
     _, grad = loss_and_grad(p, batch)
     assert grad[-1] == pytest.approx(2.0 * pred, rel=1e-12)
 
@@ -225,6 +218,7 @@ def test_forward_affine_in_output_bias(shift, x_t, t_norm):
     p = random_params(2)
     q = p.copy()
     q.theta[-1] += shift
-    assert forward(q, x_t, t_norm) == pytest.approx(
-        forward(p, x_t, t_norm) + shift, rel=1e-9, abs=1e-9
+    X = np.array([[x_t, t_norm]])
+    assert forward_batch(q, X)[0] == pytest.approx(
+        forward_batch(p, X)[0] + shift, rel=1e-9, abs=1e-9
     )

@@ -8,7 +8,6 @@ from ddpm1d.noise import (
     NoiseSpec,
     analytic_variance,
     moment_report,
-    sample,
     sample_block,
 )
 from ddpm1d.prng import seed_stream
@@ -91,27 +90,32 @@ def test_moment_report_rejects_tiny_n():
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform", "arcsine"])
 def test_block_equals_scalar_for_unit_families(family):
+    # one block of 9 equals 9 one-element blocks: the split does not matter
     spec = NoiseSpec(family)
     a = seed_stream(7, 1)
     b = seed_stream(7, 1)
     block = sample_block(spec, 9, a)
-    scal = np.array([sample(spec, b) for _ in range(9)])
-    assert np.array_equal(block, scal)
+    singles = np.array([sample_block(spec, 1, b)[0] for _ in range(9)])
+    assert np.array_equal(block, singles)
 
 
 def test_scalar_draw_accounting():
-    # uniform and arcsine: one draw per sample
+    # one-element blocks; uniform and arcsine: one draw per value
     for family in ("uniform", "arcsine"):
         g = seed_stream(11, 0)
-        sample(NoiseSpec(family), g)
+        sample_block(NoiseSpec(family), 1, g)
         assert g.uniforms_drawn == 1
     # mixture: selector plus a gaussian from the shared pair cache
     g = seed_stream(11, 1)
     spec = NoiseSpec("mixture")
-    sample(spec, g)
+    sample_block(spec, 1, g)
     assert g.uniforms_drawn == 3
-    sample(spec, g)
+    sample_block(spec, 1, g)
     assert g.uniforms_drawn == 4
+    # a block of n: n selectors, then n gaussians from ceil(n / 2) pairs
+    g = seed_stream(11, 2)
+    sample_block(spec, 5, g)
+    assert g.uniforms_drawn == 5 + 6
 
 
 def test_mixture_block_layout_selectors_then_gaussians():
@@ -150,6 +154,20 @@ def test_invalid_specs_rejected():
         NoiseSpec("mixture", mix_prob=1.5)
     with pytest.raises(ConfigError):
         NoiseSpec("mixture", mix_prob=0.5, big_variance=-1.0)
+
+
+@pytest.mark.parametrize("big_variance", [float("nan"), float("inf")])
+def test_non_finite_big_variance_rejected(big_variance):
+    with pytest.raises(ConfigError, match="big_variance"):
+        NoiseSpec("mixture", mix_prob=0.5, big_variance=big_variance)
+    with pytest.raises(ConfigError, match="big_variance"):
+        NoiseSpec.from_dict({"family": "mixture", "big_variance": big_variance})
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_normalize_must_be_a_json_boolean(value):
+    with pytest.raises(ConfigError, match="normalize"):
+        NoiseSpec.from_dict({"family": "mixture", "normalize": value})
 
 
 def test_from_dict_rejects_unknown_keys():

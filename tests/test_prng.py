@@ -7,21 +7,15 @@ from ddpm1d.prng import seed_stream
 
 
 def test_same_key_reproduces_sequence():
-    a = seed_stream(42, 0)
-    b = seed_stream(42, 0)
-    assert [a.next_uniform01() for _ in range(10)] == [b.next_uniform01() for _ in range(10)]
+    assert np.array_equal(seed_stream(42, 0).uniforms(10), seed_stream(42, 0).uniforms(10))
 
 
 def test_distinct_stream_ids_differ_within_four_draws():
-    a = seed_stream(42, 0)
-    b = seed_stream(42, 1)
-    assert any(a.next_uniform01() != b.next_uniform01() for _ in range(4))
+    assert np.any(seed_stream(42, 0).uniforms(4) != seed_stream(42, 1).uniforms(4))
 
 
 def test_distinct_base_seeds_differ():
-    a = seed_stream(1, 0)
-    b = seed_stream(2, 0)
-    assert any(a.next_uniform01() != b.next_uniform01() for _ in range(4))
+    assert np.any(seed_stream(1, 0).uniforms(4) != seed_stream(2, 0).uniforms(4))
 
 
 def test_uniform_mean_of_1e6_draws():
@@ -46,19 +40,21 @@ def test_interleaved_streams_match_isolated_sequences():
     b = seed_stream(5, 1)
     interleaved_a, interleaved_b = [], []
     for _ in range(20):
-        interleaved_a.append(a.next_uniform01())
-        interleaved_b.append(b.next_uniform01())
-    assert np.array_equal(interleaved_a, seed_stream(5, 0).uniforms(20))
-    assert np.array_equal(interleaved_b, seed_stream(5, 1).uniforms(20))
+        interleaved_a.append(a.uniforms(1))
+        interleaved_b.append(b.uniforms(1))
+    assert np.array_equal(np.concatenate(interleaved_a), seed_stream(5, 0).uniforms(20))
+    assert np.array_equal(np.concatenate(interleaved_b), seed_stream(5, 1).uniforms(20))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 9])
 def test_gaussian_block_equals_scalar(n):
+    # n one-element blocks (each odd, so each opens or drains the pair cache)
+    # give the same sequence as one block of n
     a = seed_stream(7, 2)
     b = seed_stream(7, 2)
     block = a.gaussians(n)
-    scal = np.array([b.next_gaussian() for _ in range(n)])
-    assert np.array_equal(block, scal)
+    singles = np.array([b.gaussians(1)[0] for _ in range(n)])
+    assert np.array_equal(block, singles)
 
 
 def test_gaussian_pair_cache_continuity():
@@ -95,7 +91,7 @@ def test_uniform_blocks_concatenate(n1, n2):
 def test_uniform_block_equals_scalar():
     a = seed_stream(13, 1)
     b = seed_stream(13, 1)
-    assert np.array_equal(a.uniforms(17), [b.next_uniform01() for _ in range(17)])
+    assert np.array_equal(a.uniforms(17), [b.uniforms(1)[0] for _ in range(17)])
 
 
 def test_negative_stream_id_rejected():
