@@ -20,12 +20,13 @@ raises ``DivergenceError`` with the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import noise as noise_mod
+from . import schema
 from .errors import ConfigError, DivergenceError
 from .mlp import MlpParams, forward_batch
 from .noise import NoiseSpec
@@ -46,14 +47,11 @@ class SamplerOptions:
 
     reverse_noise: NoiseSpec
     init_noise: NoiseSpec
-    sigma_mode: str = "beta"
+    sigma_mode: str = field(default="beta", metadata={"choices": SIGMA_MODES})
     final_step_noiseless: bool = True
 
     def __post_init__(self):
-        if self.sigma_mode not in SIGMA_MODES:
-            raise ConfigError(
-                f"unknown sigma_mode {self.sigma_mode!r}; expected one of {SIGMA_MODES}"
-            )
+        schema.check(self)
 
 
 def gaussian_options(

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import diffusion, mlp
+from . import diffusion, mlp, schema
 from . import noise as noise_mod
 from .diffusion import SamplerOptions
 from .errors import ConfigError, DivergenceError
@@ -38,7 +38,8 @@ REVERSE_NOISE_POLICIES = ("same", "gaussian")
 class ExperimentConfig:
     """Full description of one experiment; defaults are the reference setup
     (target 7, linear schedule 1e-4..0.02 over 500 steps, 3000 epochs of 1000
-    samples in batches of 64 at learning rate 1e-3)."""
+    samples in batches of 64 at learning rate 1e-3). With ``normalize_mixture``
+    a mixture ``noise`` is stored with ``normalize_to_unit`` set."""
 
     x0: float = 7.0
     beta_start: float = 1e-4
@@ -51,18 +52,21 @@ class ExperimentConfig:
     learning_rate: float = 1e-3
     trials: int = 100
     gens_per_trial: int = 100
-    error_metric: str = "mean_abs"
+    error_metric: str = field(default="mean_abs", metadata={"choices": ERROR_METRICS})
     base_seed: int = 0
-    sigma_mode: str = "beta"
+    sigma_mode: str = field(default="beta", metadata={"choices": diffusion.SIGMA_MODES})
     final_step_noiseless: bool = True
-    reverse_noise_policy: str = "same"
+    reverse_noise_policy: str = field(
+        default="same", metadata={"key": "reverse_noise", "choices": REVERSE_NOISE_POLICIES}
+    )
     normalize_mixture: bool = False
-    activation: str = "relu"
-    optimizer: str = "adam"
+    activation: str = field(default="relu", metadata={"choices": mlp.ACTIVATIONS})
+    optimizer: str = field(default="adam", metadata={"choices": OPTIMIZERS})
 
     def __post_init__(self):
-        if not math.isfinite(self.x0):
-            raise ConfigError(f"x0 must be finite, got {self.x0}")
+        schema.check(self)
+        if self.normalize_mixture and self.noise.family == "mixture":
+            object.__setattr__(self, "noise", replace(self.noise, normalize_to_unit=True))
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not (0.0 < self.beta_start <= self.beta_end < 1.0):
@@ -80,29 +84,8 @@ class ExperimentConfig:
                 f"batch_size ({self.batch_size}) cannot exceed "
                 f"samples_per_epoch ({self.samples_per_epoch})"
             )
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.error_metric not in ERROR_METRICS:
-            raise ConfigError(
-                f"unknown error_metric {self.error_metric!r}; expected one of {ERROR_METRICS}"
-            )
-        if self.sigma_mode not in diffusion.SIGMA_MODES:
-            raise ConfigError(
-                f"unknown sigma_mode {self.sigma_mode!r}; expected one of {diffusion.SIGMA_MODES}"
-            )
-        if self.reverse_noise_policy not in REVERSE_NOISE_POLICIES:
-            raise ConfigError(
-                f"unknown reverse_noise {self.reverse_noise_policy!r}; "
-                f"expected one of {REVERSE_NOISE_POLICIES}"
-            )
-        if self.activation not in mlp.ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r}; expected one of {mlp.ACTIVATIONS}"
-            )
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}"
-            )
+        if self.learning_rate <= 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
@@ -122,67 +105,11 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "x0": self.x0,
-            "beta_start": self.beta_start,
-            "beta_end": self.beta_end,
-            "steps": self.steps,
-            "noise": self.noise.to_dict(),
-            "epochs": self.epochs,
-            "samples_per_epoch": self.samples_per_epoch,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "trials": self.trials,
-            "gens_per_trial": self.gens_per_trial,
-            "error_metric": self.error_metric,
-            "base_seed": self.base_seed,
-            "sigma_mode": self.sigma_mode,
-            "final_step_noiseless": self.final_step_noiseless,
-            "reverse_noise": self.reverse_noise_policy,
-            "normalize_mixture": self.normalize_mixture,
-            "activation": self.activation,
-            "optimizer": self.optimizer,
-        }
+        return schema.to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        key_map = {"reverse_noise": "reverse_noise_policy"}
-        int_keys = {
-            "steps", "epochs", "samples_per_epoch", "batch_size",
-            "trials", "gens_per_trial", "base_seed",
-        }
-        float_keys = {"x0", "beta_start", "beta_end", "learning_rate"}
-        bool_keys = {"final_step_noiseless", "normalize_mixture"}
-        str_keys = {"error_metric", "sigma_mode", "reverse_noise", "activation", "optimizer"}
-        allowed = int_keys | float_keys | bool_keys | str_keys | {"noise"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        kwargs: dict = {}
-        for key, value in d.items():
-            attr = key_map.get(key, key)
-            try:
-                if key == "noise":
-                    kwargs[attr] = NoiseSpec.from_dict(value)
-                elif key in int_keys:
-                    # int(nan) raises ValueError, int(inf) OverflowError
-                    if isinstance(value, bool) or int(value) != value:
-                        raise ValueError("not an integer")
-                    kwargs[attr] = int(value)
-                elif key in float_keys:
-                    kwargs[attr] = float(value)
-                elif key in bool_keys:
-                    if not isinstance(value, bool):
-                        raise ValueError("not true or false")
-                    kwargs[attr] = value
-                else:
-                    kwargs[attr] = str(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for config key {key!r}: {value!r} ({exc})") from exc
-        cfg = cls(**kwargs)
-        if cfg.normalize_mixture and cfg.noise.family == "mixture":
-            cfg = replace(cfg, noise=replace(cfg.noise, normalize_to_unit=True))
-        return cfg
+        return schema.from_json(cls, d)
 
 
 @dataclass(frozen=True)
@@ -377,8 +304,8 @@ def run_suite(
     """Run the same config across several noise distributions (matched seeds),
     all ``(distribution, trial)`` tasks in one pool."""
     labels = [label for label, _ in distributions]
-    tasks = [(replace(cfg, noise=spec), i) for _, spec in distributions
-             for i in range(cfg.trials)]
+    configs = [replace(cfg, noise=spec) for _, spec in distributions]
+    tasks = [(c, i) for c in configs for i in range(cfg.trials)]
     callback = None
     if on_result is not None:
         callback = lambda k, r: on_result(labels[k // cfg.trials], r)

@@ -23,10 +23,11 @@ fixed per family so sequences survive refactors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError
 from .prng import RngStream
 
@@ -46,20 +47,17 @@ class NoiseSpec:
     other families have unit variance by construction).
     """
 
-    family: str = "gaussian"
+    family: str = field(default="gaussian", metadata={"choices": FAMILIES})
     mix_prob: float = 0.9
     big_variance: float = 100.0
-    normalize_to_unit: bool = False
+    normalize_to_unit: bool = field(default=False, metadata={"key": "normalize"})
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(
-                f"unknown noise family {self.family!r}; expected one of {FAMILIES}"
-            )
+        schema.check(self)
         if not 0.0 <= self.mix_prob <= 1.0:
             raise ConfigError(f"mix_prob must be in [0, 1], got {self.mix_prob}")
-        if not (np.isfinite(self.big_variance) and self.big_variance > 0.0):
-            raise ConfigError(f"big_variance must be finite and > 0, got {self.big_variance}")
+        if self.big_variance <= 0.0:
+            raise ConfigError(f"big_variance must be > 0, got {self.big_variance}")
 
     def label(self) -> str:
         if self.family == "mixture":
@@ -67,33 +65,14 @@ class NoiseSpec:
         return self.family
 
     def to_dict(self) -> dict:
-        d: dict = {"family": self.family}
-        if self.family == "mixture":
-            d["mix_prob"] = self.mix_prob
-            d["big_variance"] = self.big_variance
-            d["normalize"] = self.normalize_to_unit
-        return d
+        return schema.to_json(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        allowed = {"family", "mix_prob", "big_variance", "normalize"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown noise config key(s): {sorted(unknown)}")
+    def from_dict(cls, d) -> "NoiseSpec":
+        spec = schema.from_json(cls, d, "noise")
         if "family" not in d:
             raise ConfigError("noise config requires a 'family' key")
-        kwargs: dict = {"family": d["family"]}
-        if "mix_prob" in d:
-            kwargs["mix_prob"] = float(d["mix_prob"])
-        if "big_variance" in d:
-            kwargs["big_variance"] = float(d["big_variance"])
-        if "normalize" in d:
-            if not isinstance(d["normalize"], bool):
-                raise ConfigError(
-                    f"noise key 'normalize' must be true or false, got {d['normalize']!r}"
-                )
-            kwargs["normalize_to_unit"] = d["normalize"]
-        return cls(**kwargs)
+        return spec
 
 
 def _mixture_raw_variance(spec: NoiseSpec) -> float:

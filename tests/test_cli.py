@@ -191,9 +191,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ({"learning_rate": float("inf")}, "learning_rate"),
         ({"noise": {"family": "mixture", "big_variance": float("nan")}}, "big_variance"),
         ({"noise": {"family": "mixture", "big_variance": float("inf")}}, "big_variance"),
+        ({"learning_rate": "0.001"}, "learning_rate"),
+        ({"x0": True}, "x0"),
+        ({"noise": {"family": "mixture", "mix_prob": True}}, "mix_prob"),
+        ({"noise": "gaussian"}, "noise must be a JSON object"),
+        ({"noise": []}, "noise must be a JSON object"),
+        ({"noise": 5}, "noise must be a JSON object"),
     ],
     ids=["bool-string", "normalize-string", "fractional-int", "lr-nan", "lr-inf",
-         "big-variance-nan", "big-variance-inf"],
+         "big-variance-nan", "big-variance-inf", "lr-string", "x0-bool", "mix-prob-bool",
+         "noise-string", "noise-list", "noise-number"],
 )
 def test_coerced_config_values_exit_code(tmp_path, capsys, extra, key):
     # json writes nan/inf as NaN/Infinity, which json.loads reads back

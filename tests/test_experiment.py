@@ -310,16 +310,29 @@ def test_config_validation_messages():
         tiny_cfg(trials=0)
     with pytest.raises(ConfigError, match="learning_rate"):
         tiny_cfg(learning_rate=0.0)
+    with pytest.raises(ConfigError, match="x0"):
+        tiny_cfg(x0=True)
+    with pytest.raises(ConfigError, match="trials"):
+        tiny_cfg(trials=2.5)
+    with pytest.raises(ConfigError, match="final_step_noiseless"):
+        tiny_cfg(final_step_noiseless="false")
 
 
 def test_config_dict_roundtrip():
     cfg = tiny_cfg(noise=NoiseSpec("mixture", 0.5, 100.0), error_metric="abs_mean")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # keyword construction applies normalize_mixture as from_dict does
+    norm = tiny_cfg(noise=NoiseSpec("mixture", 0.5, 100.0), normalize_mixture=True)
+    assert norm.noise.normalize_to_unit
+    assert ExperimentConfig.from_dict(norm.to_dict()) == norm
 
 
 def test_config_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError, match="momentum"):
         ExperimentConfig.from_dict({"momentum": 0.9})
+    for not_an_object in ("gaussian", [], 5):
+        with pytest.raises(ConfigError, match="noise must be a JSON object"):
+            ExperimentConfig.from_dict({"noise": not_an_object})
 
 
 @pytest.mark.parametrize("key", ["final_step_noiseless", "normalize_mixture"])
@@ -327,12 +340,16 @@ def test_config_from_dict_rejects_unknown_key():
 def test_config_booleans_must_be_json_booleans(key, value):
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict({key: value})
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value})
 
 
 @pytest.mark.parametrize("value", [2.9, True, "2", float("nan"), float("inf"), None])
 def test_config_integers_must_be_integral(value):
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig.from_dict({"trials": value})
+    with pytest.raises(ConfigError, match="trials"):
+        ExperimentConfig(trials=value)
 
 
 def test_config_integral_float_is_an_integer():
@@ -340,7 +357,7 @@ def test_config_integral_float_is_an_integer():
     assert cfg.trials == 3 and isinstance(cfg.trials, int)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.001", True])
 def test_config_learning_rate_must_be_finite(value):
     with pytest.raises(ConfigError, match="learning_rate"):
         ExperimentConfig.from_dict({"learning_rate": value})

@@ -154,6 +154,10 @@ def test_invalid_specs_rejected():
         NoiseSpec("mixture", mix_prob=1.5)
     with pytest.raises(ConfigError):
         NoiseSpec("mixture", mix_prob=0.5, big_variance=-1.0)
+    with pytest.raises(ConfigError, match="mix_prob"):
+        NoiseSpec("mixture", mix_prob=True)
+    with pytest.raises(ConfigError, match="mix_prob"):
+        NoiseSpec.from_dict({"family": "mixture", "mix_prob": True})
 
 
 @pytest.mark.parametrize("big_variance", [float("nan"), float("inf")])
@@ -175,6 +179,9 @@ def test_from_dict_rejects_unknown_keys():
         NoiseSpec.from_dict({"family": "gaussian", "spread": 2})
     with pytest.raises(ConfigError):
         NoiseSpec.from_dict({})
+    for not_an_object in ("gaussian", [], 5):
+        with pytest.raises(ConfigError, match="noise must be a JSON object"):
+            NoiseSpec.from_dict(not_an_object)
 
 
 @given(
@@ -189,8 +196,9 @@ def test_mixture_dict_roundtrip(p, bv, norm):
 
 def test_plain_family_dict_roundtrip():
     for family in ("gaussian", "uniform", "arcsine"):
-        d = {"family": family}
-        assert NoiseSpec.from_dict(d).to_dict() == d
+        assert NoiseSpec.from_dict({"family": family}) == NoiseSpec(family)
+        spec = NoiseSpec(family, mix_prob=0.3)
+        assert NoiseSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_labels():
