@@ -39,7 +39,6 @@ from .mlp import (
     finite_diff_check,
     forward_batch,
     init_params,
-    loss_and_grad,
     sgd_step,
 )
 from .noise import MomentReport, NoiseSpec, analytic_variance, moment_report, sample_block
@@ -71,7 +70,6 @@ __all__ = [
     "gaussian_options",
     "generate_block",
     "init_params",
-    "loss_and_grad",
     "mlp_predictor",
     "moment_report",
     "noiseless_reverse_chain",

@@ -15,8 +15,11 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .diffusion import SIGMA_MODES
 from .errors import ConfigError
 from .experiment import (
+    ERROR_METRICS,
+    REVERSE_NOISE_POLICIES,
     DistributionRun,
     ExperimentConfig,
     SummaryRow,
@@ -53,8 +56,8 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, long ints, deep nesting
             raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config root in {p} must be a JSON object")
@@ -131,12 +134,12 @@ def _build_parser() -> _Parser:
                      help="trial worker processes; never affects results")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--gens-per-trial", type=int)
-    run.add_argument("--metric", choices=("mean_abs", "abs_mean"))
+    run.add_argument("--metric", choices=ERROR_METRICS)
     run.add_argument("--normalize-mixture", action="store_true",
                      help="rescale mixture noise to unit variance")
-    run.add_argument("--reverse-noise", choices=("same", "gaussian"),
+    run.add_argument("--reverse-noise", choices=REVERSE_NOISE_POLICIES,
                      help="distribution of reverse-step and init noise")
-    run.add_argument("--sigma-mode", choices=("beta", "beta_tilde"))
+    run.add_argument("--sigma-mode", choices=SIGMA_MODES)
     run.add_argument("--dump-weights", metavar="PATH",
                      help="write trial 0 weights of the first distribution as flat JSON")
     run.add_argument("--quiet", action="store_true", help="suppress per-trial progress")

@@ -8,10 +8,10 @@ the 1-based step. The oracle predictor inverts the forward map exactly;
 ``mlp_predictor`` wraps trained weights with the normalized-time input
 convention t_norm = t / T.
 
-Stream layout of ``generate_block``: one ``init_noise`` block of ``n`` draws
-for x_T, then one ``reverse_noise`` block of ``n`` per noisy step, from t = T
-down; the final step draws nothing when ``final_step_noiseless`` is set. Each
-block follows the family layout of the noise module.
+Stream layout of ``generate_block``: one ``noise`` block of ``n`` draws for
+x_T, then one ``noise`` block of ``n`` per noisy step, from t = T down; the
+final step draws nothing when ``final_step_noiseless`` is set. Each block
+follows the family layout of the noise module.
 
 A state is diverged when it is non-finite or beyond DIVERGENCE_LIMIT.
 ``generate_block`` returns that as a per-chain mask; ``noiseless_reverse_chain``
@@ -43,10 +43,9 @@ DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class SamplerOptions:
-    """Where the reverse chain gets its randomness and its step variance."""
+    """The reverse chain's noise (x_T and every noisy step) and step variance."""
 
-    reverse_noise: NoiseSpec
-    init_noise: NoiseSpec
+    noise: NoiseSpec
     sigma_mode: str = field(default="beta", metadata={"choices": SIGMA_MODES})
     final_step_noiseless: bool = True
 
@@ -57,8 +56,7 @@ class SamplerOptions:
 def gaussian_options(
     sigma_mode: str = "beta", final_step_noiseless: bool = True
 ) -> SamplerOptions:
-    g = NoiseSpec("gaussian")
-    return SamplerOptions(g, g, sigma_mode, final_step_noiseless)
+    return SamplerOptions(NoiseSpec("gaussian"), sigma_mode, final_step_noiseless)
 
 
 def q_sample_block(x0: float, ts: np.ndarray, s: Schedule, eps: np.ndarray) -> np.ndarray:
@@ -122,7 +120,7 @@ def generate_block(
 
     Returns ``(x0_hats, diverged_mask)``.
     """
-    x = noise_mod.sample_block(opts.init_noise, n, g)
+    x = noise_mod.sample_block(opts.noise, n, g)
     alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         for t in range(s.T, 0, -1):
@@ -130,7 +128,7 @@ def generate_block(
             if t == 1 and opts.final_step_noiseless:
                 x = mean
             else:
-                z = noise_mod.sample_block(opts.reverse_noise, n, g)
+                z = noise_mod.sample_block(opts.noise, n, g)
                 x = mean + np.sqrt(sigma_sq(s, t, opts.sigma_mode)) * z
             alive &= np.abs(x) <= DIVERGENCE_LIMIT
     return x, ~alive

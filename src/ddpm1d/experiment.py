@@ -93,16 +93,8 @@ class ExperimentConfig:
         return build_linear(self.beta_start, self.beta_end, self.steps)
 
     def sampler_options(self) -> SamplerOptions:
-        if self.reverse_noise_policy == "same":
-            inject = self.noise
-        else:
-            inject = NoiseSpec("gaussian")
-        return SamplerOptions(
-            reverse_noise=inject,
-            init_noise=inject,
-            sigma_mode=self.sigma_mode,
-            final_step_noiseless=self.final_step_noiseless,
-        )
+        noise = self.noise if self.reverse_noise_policy == "same" else NoiseSpec("gaussian")
+        return SamplerOptions(noise, self.sigma_mode, self.final_step_noiseless)
 
     def to_dict(self) -> dict:
         return schema.to_json(self)

@@ -29,6 +29,10 @@ INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
 
 ACTIVATIONS = ("relu", "tanh")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class MlpParams:
@@ -77,9 +81,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1_opt: float = 0.9
-    beta2_opt: float = 0.999
-    epsilon_opt: float = 1e-8
 
     @classmethod
     def zeros(cls) -> "AdamState":
@@ -154,18 +155,6 @@ def loss_and_grad_arrays(
     return loss, grad
 
 
-def loss_and_grad(
-    p: MlpParams, batch: TrainBatch, activation: str = "relu"
-) -> tuple[float, np.ndarray]:
-    return loss_and_grad_arrays(p, batch.inputs, batch.targets, activation)
-
-
-def _loss_only(p: MlpParams, X: np.ndarray, y: np.ndarray, activation: str) -> float:
-    h = _act(X @ p.W1.T + p.b1, activation)
-    err = h @ p.W2 + p.theta[_B2] - y
-    return float(err @ err) / len(y)
-
-
 def adam_step(
     p: MlpParams, s: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[MlpParams, AdamState]:
@@ -173,12 +162,12 @@ def adam_step(
     if lr <= 0.0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     t = s.step_count + 1
-    m = s.beta1_opt * s.m + (1.0 - s.beta1_opt) * grads
-    v = s.beta2_opt * s.v + (1.0 - s.beta2_opt) * (grads * grads)
-    m_hat = m / (1.0 - s.beta1_opt**t)
-    v_hat = v / (1.0 - s.beta2_opt**t)
-    theta = p.theta - lr * m_hat / (np.sqrt(v_hat) + s.epsilon_opt)
-    return MlpParams(theta), AdamState(m, v, t, s.beta1_opt, s.beta2_opt, s.epsilon_opt)
+    m = ADAM_BETA1 * s.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (grads * grads)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta = p.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return MlpParams(theta), AdamState(m, v, t)
 
 
 def sgd_step(p: MlpParams, grads: np.ndarray, lr: float) -> MlpParams:
@@ -190,22 +179,22 @@ def sgd_step(p: MlpParams, grads: np.ndarray, lr: float) -> MlpParams:
 def finite_diff_check(
     p: MlpParams, batch: TrainBatch, h: float = 1e-6, activation: str = "relu"
 ) -> float:
-    """Worst relative error of the analytic gradient vs central differences.
-
-    Denominators are floored at 1e-8 so zero-gradient components compare cleanly.
+    """Worst relative error of the analytic gradient vs central differences of
+    the loss ``loss_and_grad_arrays`` returns with it. Denominators are floored
+    at 1e-8 so zero-gradient components compare cleanly.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be > 0, got {h}")
-    _, grad = loss_and_grad(p, batch, activation)
-    q = p.copy()
     X, y = batch.inputs, batch.targets
+    _, grad = loss_and_grad_arrays(p, X, y, activation)
+    q = p.copy()
     worst = 0.0
     for i in range(N_PARAMS):
         orig = q.theta[i]
         q.theta[i] = orig + h
-        lp = _loss_only(q, X, y, activation)
+        lp, _ = loss_and_grad_arrays(q, X, y, activation)
         q.theta[i] = orig - h
-        lm = _loss_only(q, X, y, activation)
+        lm, _ = loss_and_grad_arrays(q, X, y, activation)
         q.theta[i] = orig
         num = (lp - lm) / (2.0 * h)
         denom = max(abs(grad[i]), abs(num), 1e-8)

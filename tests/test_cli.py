@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddpm1d.cli import main, parse_config, write_csv
+from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
 
@@ -66,11 +67,26 @@ def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.json")
 
-def test_invalid_json_rejected(tmp_path):
+# files json.loads cannot read: a syntax error, an integer beyond Python's
+# int-from-string digit limit, bytes that are not UTF-8, nesting beyond the
+# recursion limit
+UNREADABLE_CONFIGS = {
+    "syntax": b"{not json",
+    "long-integer": b'{"x0": ' + b"1" * 5000 + b"}",
+    "not-utf8": b'{"noise": {"family": "gaussian\xff"}}',
+    "deep-nesting": b'{"x0": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+}
+
+@pytest.mark.parametrize("content", UNREADABLE_CONFIGS.values(), ids=UNREADABLE_CONFIGS.keys())
+def test_invalid_json_rejected(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config(path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--quiet"]) == 1
+    assert "config error: invalid JSON" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 def test_normalize_mixture_key(tmp_path):
     path = write_tiny_config(
@@ -169,6 +185,18 @@ def test_cli_seed_flag_changes_results(tmp_path):
     main(["run", "--config", str(config), "--out", str(out_a), "--quiet"])
     main(["run", "--config", str(config), "--out", str(out_b), "--seed", "123", "--quiet"])
     assert (out_a / "trials.csv").read_text() != (out_b / "trials.csv").read_text()
+
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise_policy"),
+     ("--sigma-mode", "sigma_mode")],
+)
+def test_flag_choices_come_from_the_schema(flag, name):
+    parser = _build_parser()
+    run = parser._subparsers._group_actions[0].choices["run"]
+    action = next(a for a in run._actions if flag in a.option_strings)
+    field = next(f for f in dataclasses.fields(ExperimentConfig) if f.name == name)
+    assert tuple(action.choices) == field.metadata["choices"]
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1

@@ -229,4 +229,4 @@ def test_mlp_predictor_time_normalization(sched):
 def test_sampler_options_validation():
     g = NoiseSpec("gaussian")
     with pytest.raises(ConfigError):
-        SamplerOptions(g, g, sigma_mode="fixed")
+        SamplerOptions(g, sigma_mode="fixed")

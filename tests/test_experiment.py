@@ -368,11 +368,9 @@ def test_config_learning_rate_must_be_finite(value):
 def test_sampler_options_follow_policy():
     mix = NoiseSpec("mixture", 0.5, 100.0)
     cfg = tiny_cfg(noise=mix)
-    assert cfg.sampler_options().reverse_noise == mix
-    assert cfg.sampler_options().init_noise == mix
+    assert cfg.sampler_options().noise == mix
     gauss_cfg = replace(cfg, reverse_noise_policy="gaussian")
-    assert gauss_cfg.sampler_options().reverse_noise == NoiseSpec("gaussian")
-    assert gauss_cfg.sampler_options().init_noise == NoiseSpec("gaussian")
+    assert gauss_cfg.sampler_options().noise == NoiseSpec("gaussian")
 
 
 def test_remainder_batch_is_trained():

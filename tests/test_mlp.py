@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddpm1d import mlp
 from ddpm1d.mlp import (
     HIDDEN,
     INIT_DRAWS,
@@ -14,7 +15,7 @@ from ddpm1d.mlp import (
     finite_diff_check,
     forward_batch,
     init_params,
-    loss_and_grad,
+    loss_and_grad_arrays,
     sgd_step,
 )
 from ddpm1d.prng import seed_stream
@@ -99,7 +100,7 @@ def test_loss_zero_at_perfect_prediction():
     p = MlpParams.zeros()
     p.theta[-1] = 1.5
     batch = TrainBatch(np.array([[0.3, 0.1], [0.9, 0.7]]), np.array([1.5, 1.5]))
-    loss, grad = loss_and_grad(p, batch)
+    loss, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -109,7 +110,7 @@ def test_output_bias_gradient_single_sample():
     x_t, t_norm = 0.5, 0.2
     batch = TrainBatch(np.array([[x_t, t_norm]]), np.array([0.0]))
     pred = forward_batch(p, batch.inputs)[0]
-    _, grad = loss_and_grad(p, batch)
+    _, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
     assert grad[-1] == pytest.approx(2.0 * pred, rel=1e-12)
 
 
@@ -127,6 +128,22 @@ def test_gradient_matches_finite_differences_tanh():
 def test_finite_diff_zero_case():
     batch = TrainBatch(np.zeros((4, 2)), np.zeros(4))
     assert finite_diff_check(MlpParams.zeros(), batch) == 0.0
+
+
+def test_finite_diff_catches_a_wrong_gradient(monkeypatch):
+    # the check takes its loss and its gradient from one function; a gradient
+    # that is off by 1% in one component must still show
+    p, batch = random_params(0), random_batch(0)
+    exact = mlp.loss_and_grad_arrays
+
+    def off_by_one_percent(*args):
+        loss, grad = exact(*args)
+        grad[-1] *= 1.01
+        return loss, grad
+
+    assert finite_diff_check(p, batch) < 1e-5
+    monkeypatch.setattr(mlp, "loss_and_grad_arrays", off_by_one_percent)
+    assert finite_diff_check(p, batch) > 1e-3
 
 
 def test_coarse_step_is_worse():
@@ -153,6 +170,30 @@ def test_adam_first_step_magnitude_near_lr():
     assert np.all(q.theta[:-1] == 0.0)
 
 
+def test_adam_two_steps_match_hand_computation():
+    # one step cannot pin the rates (bias correction cancels beta1 and beta2);
+    # a second step with another gradient depends on both, and the ~1e-8
+    # component also on eps
+    g1 = np.array([0.5, 3.0, 1e-8])
+    g2 = np.array([-2.0, 3.0, 3e-8])
+    p, s = MlpParams.zeros(), AdamState.zeros()
+    for g in (g1, g2):
+        grad = np.zeros(N_PARAMS)
+        grad[:3] = g
+        p, s = adam_step(p, s, grad, lr=1e-3)
+
+    m1, v1 = 0.1 * g1, 0.001 * g1 * g1
+    theta1 = -1e-3 * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
+    m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
+    m_hat, v_hat = m2 / (1.0 - 0.9**2), v2 / (1.0 - 0.999**2)
+    theta2 = theta1 - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert s.step_count == 2
+    assert s.m[:3] == pytest.approx(m2, rel=1e-12)
+    assert s.v[:3] == pytest.approx(v2, rel=1e-12)
+    assert p.theta[:3] == pytest.approx(theta2, rel=1e-12)
+    assert np.all(p.theta[3:] == 0.0)
+
+
 def test_adam_converges_on_scalar_quadratic():
     # drive the output bias toward 2 on f(w) = (w - 2)^2
     p = MlpParams.zeros()
@@ -168,7 +209,8 @@ def test_adam_converges_on_scalar_quadratic():
 def test_adam_update_is_pure():
     p = random_params(6)
     s = AdamState.zeros()
-    _, grad = loss_and_grad(p, random_batch(6))
+    batch = random_batch(6)
+    _, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
     theta_before = p.theta.copy()
     q1, s1 = adam_step(p, s, grad, lr=1e-3)
     q2, s2 = adam_step(p, s, grad, lr=1e-3)
@@ -183,7 +225,8 @@ def test_adam_second_moment_nonnegative():
     p = random_params(8)
     s = AdamState.zeros()
     for seed in range(3):
-        _, grad = loss_and_grad(p, random_batch(seed))
+        batch = random_batch(seed)
+        _, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
         p, s = adam_step(p, s, grad, lr=1e-3)
     assert np.all(s.v >= 0.0)
     assert s.step_count == 3
