@@ -10,7 +10,7 @@ from ddpm1d.prng import seed_stream
 from ddpm1d.schedule import build_linear, retention
 
 sched = build_linear(1e-4, 0.02, 500)
-print(f"beta range [{sched.beta_at(1)}, {sched.beta_at(500)}], "
+print(f"beta range [{sched.beta[0]}, {sched.beta[-1]}], "
       f"terminal retention sqrt(alpha_bar_500) = {retention(sched, 500):.6f}")
 
 pred = oracle_predictor(7.0, sched)

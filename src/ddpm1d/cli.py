@@ -28,7 +28,7 @@ from .experiment import (
     table1_distributions,
     table2_distributions,
 )
-from .schedule import build_linear, retention
+from .schedule import retention
 from .selftest import run_selftest
 
 EXPERIMENTS = ("table1", "table2", "single")
@@ -130,7 +130,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--experiment", choices=EXPERIMENTS, default="single")
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int, help="base seed (config key base_seed)")
-    run.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    # the CPUs this process may run on, which taskset or a cgroup can narrow
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    run.add_argument("--workers", type=int, default=cpus,
                      help="trial worker processes; never affects results")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--gens-per-trial", type=int)
@@ -158,9 +160,9 @@ def _cmd_check(args) -> int:
     overrides = {"beta_start": args.beta_start, "beta_end": args.beta_end,
                  "steps": args.steps}
     cfg = parse_config(args.config, overrides)
-    s = build_linear(cfg.beta_start, cfg.beta_end, cfg.steps)
-    print(f"beta[1]    = {_fmt(s.beta_at(1))}")
-    print(f"beta[{s.T}]  = {_fmt(s.beta_at(s.T))}")
+    s = cfg.schedule()
+    print(f"beta[1]    = {_fmt(s.beta[0])}")
+    print(f"beta[{s.T}]  = {_fmt(s.beta[-1])}")
     print(f"sqrt(alpha_bar[{s.T}]) = {_fmt(retention(s, s.T))}")
     return 0
 

@@ -93,20 +93,23 @@ def mlp_predictor(params: MlpParams, T: int, activation: str = "relu") -> Predic
     return predict
 
 
-def sigma_sq(s: Schedule, t: int, mode: str) -> float:
-    """Reverse-step noise variance: beta_t, or the posterior beta-tilde_t."""
+def sigma_sq(s: Schedule, mode: str) -> np.ndarray:
+    """Per-step reverse noise variance: beta_t, or the posterior beta-tilde_t,
+    where alpha_bar_0 = 1 makes beta-tilde_1 = 0."""
     if mode == "beta":
-        return s.beta_at(t)
+        return s.beta
     if mode == "beta_tilde":
-        return s.beta_at(t) * (1.0 - s.alpha_bar_at(t - 1)) / (1.0 - s.alpha_bar_at(t))
+        alpha_bar_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
+        return s.beta * (1.0 - alpha_bar_prev) / (1.0 - s.alpha_bar)
     raise ConfigError(f"unknown sigma_mode {mode!r}; expected one of {SIGMA_MODES}")
 
 
 def reverse_mean(pred: Predictor, x_t, t: int, s: Schedule):
     """Deterministic part of the ancestral step; broadcasts over array x_t."""
+    i = s.index(t)
     eps_hat = pred(x_t, t)
-    coef = s.beta_at(t) / np.sqrt(1.0 - s.alpha_bar_at(t))
-    return (x_t - coef * eps_hat) / np.sqrt(s.alpha_at(t))
+    coef = s.beta[i] / np.sqrt(1.0 - s.alpha_bar[i])
+    return (x_t - coef * eps_hat) / np.sqrt(s.alpha[i])
 
 
 def generate_block(
@@ -120,6 +123,7 @@ def generate_block(
 
     Returns ``(x0_hats, diverged_mask)``.
     """
+    sigma = np.sqrt(sigma_sq(s, opts.sigma_mode))
     x = noise_mod.sample_block(opts.noise, n, g)
     alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
@@ -129,7 +133,7 @@ def generate_block(
                 x = mean
             else:
                 z = noise_mod.sample_block(opts.noise, n, g)
-                x = mean + np.sqrt(sigma_sq(s, t, opts.sigma_mode)) * z
+                x = mean + sigma[t - 1] * z
             alive &= np.abs(x) <= DIVERGENCE_LIMIT
     return x, ~alive
 

@@ -27,7 +27,7 @@ from .diffusion import SamplerOptions
 from .errors import ConfigError, DivergenceError
 from .noise import NoiseSpec
 from .prng import RngStream, seed_stream
-from .schedule import Schedule, build_linear
+from .schedule import Schedule, build_linear, check_linear
 
 ERROR_METRICS = ("mean_abs", "abs_mean")
 OPTIMIZERS = ("adam", "sgd")
@@ -67,13 +67,7 @@ class ExperimentConfig:
         schema.check(self)
         if self.normalize_mixture and self.noise.family == "mixture":
             object.__setattr__(self, "noise", replace(self.noise, normalize_to_unit=True))
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
-            raise ConfigError(
-                "need 0 < beta_start <= beta_end < 1, got "
-                f"({self.beta_start}, {self.beta_end})"
-            )
+        check_linear(self.beta_start, self.beta_end, self.steps)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         for key in ("samples_per_epoch", "batch_size", "trials", "gens_per_trial"):

@@ -1,8 +1,9 @@
 """Linear beta schedule and the derived alpha / alpha-bar sequences.
 
 Arrays are stored 0-based: ``beta[i]`` is the rate at diffusion step
-``t = i + 1``, so ``beta[0]`` is the first-step rate. All arithmetic is
-64-bit; the 500-term cumulative product is not trustworthy in float32.
+``t = i + 1``, so ``beta[0]`` is the first-step rate; ``Schedule.index(t)``
+maps a checked 1-based step to its array index. All arithmetic is 64-bit;
+the 500-term cumulative product is not trustworthy in float32.
 """
 
 from __future__ import annotations
@@ -21,35 +22,31 @@ class Schedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
 
-    def _check_t(self, t: int) -> None:
+    def index(self, t: int) -> int:
+        """Array index of the 1-based step t; IndexError outside 1..T."""
         if not 1 <= t <= self.T:
             raise IndexError(f"step t={t} outside 1..{self.T}")
-
-    def beta_at(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.beta[t - 1])
-
-    def alpha_at(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alpha[t - 1])
-
-    def alpha_bar_at(self, t: int) -> float:
-        """Cumulative product at 1-based step t; alpha_bar_at(0) = 1 by convention."""
-        if t == 0:
-            return 1.0
-        self._check_t(t)
-        return float(self.alpha_bar[t - 1])
+        return t - 1
 
 
-def build_linear(beta1: float, betaT: float, T: int) -> Schedule:
-    """Linear schedule from beta1 to betaT over T steps (endpoints exact)."""
+def check_linear(beta1: float, betaT: float, T: int) -> None:
+    """Raise ConfigError unless (beta1, betaT, T) is a valid linear schedule;
+    allocates nothing, so any T is cheap to check."""
     if T < 1:
         raise ConfigError(f"steps must be >= 1, got {T}")
     if not (0.0 < beta1 <= betaT < 1.0):
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta1}, {betaT})"
         )
-    beta = np.linspace(beta1, betaT, T)
+
+
+def build_linear(beta1: float, betaT: float, T: int) -> Schedule:
+    """Linear schedule from beta1 to betaT over T steps (endpoints exact)."""
+    check_linear(beta1, betaT, T)
+    try:
+        beta = np.linspace(beta1, betaT, T)
+    except (MemoryError, ValueError) as exc:  # T beyond memory or numpy's size limit
+        raise ConfigError(f"steps={T} is too many to allocate: {exc}") from exc
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     return Schedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
@@ -57,5 +54,4 @@ def build_linear(beta1: float, betaT: float, T: int) -> Schedule:
 
 def retention(s: Schedule, t: int) -> float:
     """sqrt(alpha_bar[t]): the fraction of the signal surviving t forward steps."""
-    s._check_t(t)
-    return float(np.sqrt(s.alpha_bar[t - 1]))
+    return float(np.sqrt(s.alpha_bar[s.index(t)]))

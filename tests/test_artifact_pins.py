@@ -1,0 +1,66 @@
+"""Run artifacts against stored digests.
+
+Each case runs ``python -m ddpm1d run`` on a ``perfbench/workloads`` config
+and compares the sha256 of trials.csv with ``perfbench/refs/<workload>.json``.
+The fanout seeds run at one and two workers; the sample seed is the only
+reference with mixture noise and 2000-chain generation.
+
+trials.csv keeps 9 significant digits, which hides training changes of a few
+ulps (reversing the order of the ``b1`` sum in ``loss_and_grad_arrays`` moves
+the trained weights but no digit of the csv). So the sample run also dumps
+trial 0's weights at full precision and compares their sha256 with
+``WEIGHTS_SHA256``.
+
+A change that moves results on purpose regenerates the references with
+``perfbench/make_refs.py``, updates ``WEIGHTS_SHA256`` from a ``--dump-weights``
+run and bumps ``artifact_version``; it does not loosen these comparisons.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
+
+CASES = [("fanout", seed, workers) for seed in (0, 1, 2) for workers in (1, 2)]
+CASES.append(("sample", 0, 2))
+
+# sha256 of ``--dump-weights`` output (gaussian trial 0 after 100 epochs)
+WEIGHTS_SHA256 = {
+    ("sample", 0): "b1abd22e2541fbb1d1893e71ffb901a569aaf217468edf0e27cde65adf403c60",
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "workload, seed, workers", CASES, ids=[f"{w}-seed{s}-workers{k}" for w, s, k in CASES]
+)
+def test_run_artifacts_match_reference(tmp_path, workload, seed, workers):
+    ref = json.loads((BENCH / "refs" / f"{workload}.json").read_text())
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out, weights = tmp_path / "out", tmp_path / "weights.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddpm1d", "run",
+         "--config", str(BENCH / "workloads" / f"{workload}.json"),
+         "--experiment", ref["experiment"], "--seed", str(seed),
+         "--workers", str(workers), "--quiet", "--out", str(out),
+         "--dump-weights", str(weights)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(out / "trials.csv") == ref["seeds"][str(seed)]["sha256"], (
+        f"{workload} seed {seed}: trials.csv differs from perfbench/refs/{workload}.json"
+    )
+    if (workload, seed) in WEIGHTS_SHA256:
+        assert sha256(weights) == WEIGHTS_SHA256[workload, seed], (
+            f"{workload} seed {seed}: trial 0 weights moved"
+        )

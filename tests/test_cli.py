@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -247,6 +248,25 @@ def test_non_positive_workers_exit_code(tmp_path, capsys, workers):
     assert code == 1
     assert "workers" in capsys.readouterr().err
     assert not out_dir.exists()
+
+def test_unallocatable_steps_exit_code(tmp_path, capsys):
+    # 10**17 float64 values are 800 PB, beyond any address space
+    assert main(["check", "--steps", "100000000000000000"]) == 1
+    assert "config error" in capsys.readouterr().err
+    config = write_tiny_config(tmp_path, steps=10**19)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out_dir),
+                 "--workers", "1", "--quiet"])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+def test_workers_default_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _build_parser().parse_args(["run"]).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _build_parser().parse_args(["run"]).workers == 3
 
 def test_module_invocation_exit_code():
     proc = subprocess.run(

@@ -69,7 +69,7 @@ def test_q_sample_block_matches_scalar(sched):
     eps = np.array([0.3, -1.2, 2.0, 0.0])
     block = q_sample_block(X0, ts, sched, eps)
     by_hand = [
-        np.sqrt(sched.alpha_bar_at(t)) * X0 + np.sqrt(1.0 - sched.alpha_bar_at(t)) * e
+        np.sqrt(sched.alpha_bar[t - 1]) * X0 + np.sqrt(1.0 - sched.alpha_bar[t - 1]) * e
         for t, e in zip(ts, eps)
     ]
     assert np.allclose(block, by_hand, atol=1e-15)
@@ -92,20 +92,25 @@ def test_oracle_zero_at_noiseless_point(sched):
 
 
 def test_sigma_modes(sched):
-    assert sigma_sq(sched, 10, "beta") == sched.beta_at(10)
+    beta = sigma_sq(sched, "beta")
+    assert beta.shape == (sched.T,)
+    assert np.array_equal(beta, sched.beta)
     # beta-tilde vanishes at t=1 because alpha_bar_0 = 1
-    assert sigma_sq(sched, 1, "beta_tilde") == 0.0
-    expected = sched.beta_at(10) * (1 - sched.alpha_bar_at(9)) / (1 - sched.alpha_bar_at(10))
-    assert sigma_sq(sched, 10, "beta_tilde") == pytest.approx(expected, rel=1e-15)
+    tilde = sigma_sq(sched, "beta_tilde")
+    assert tilde.shape == (sched.T,)
+    assert tilde[0] == 0.0
+    ab = [1.0] + list(sched.alpha_bar)  # ab[t] is alpha_bar_t, 1-based
+    for t in range(1, sched.T + 1):
+        assert tilde[t - 1] == sched.beta[t - 1] * (1.0 - ab[t - 1]) / (1.0 - ab[t])
     with pytest.raises(ConfigError):
-        sigma_sq(sched, 10, "learned")
+        sigma_sq(sched, "learned")
 
 
 def test_reverse_mean_with_null_predictor(sched):
     null = lambda x, t: 0.0
     x = 3.7
     assert reverse_mean(null, x, 42, sched) == pytest.approx(
-        x / np.sqrt(sched.alpha_at(42)), rel=1e-15
+        x / np.sqrt(sched.alpha[41]), rel=1e-15
     )
 
 
@@ -131,7 +136,7 @@ def test_reverse_step_final_equals_mean(sched):
     x_T = seed_stream(0, 0).gaussians(4)
     x0_hats, diverged = generate_block(null, 4, s1, gaussian_options(), seed_stream(0, 0))
     assert not diverged.any()
-    assert x0_hats == pytest.approx(x_T / np.sqrt(s1.alpha_at(1)), rel=1e-15)
+    assert x0_hats == pytest.approx(x_T / np.sqrt(s1.alpha[0]), rel=1e-15)
 
 
 def test_noiseless_oracle_chain_contracts_to_target(sched):
@@ -183,7 +188,7 @@ def test_forward_marginal_moments(sched):
     n = 100_000
     eps = sample_block(NoiseSpec("gaussian"), n, seed_stream(3, 0))
     x_t = q_sample_block(X0, np.full(n, t), sched, eps)
-    ab = sched.alpha_bar_at(t)
+    ab = sched.alpha_bar[t - 1]
     assert abs(x_t.mean() - np.sqrt(ab) * X0) < 3.0 * np.sqrt((1 - ab) / n)
     assert abs(x_t.var() - (1 - ab)) < 0.05 * (1 - ab)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddpm1d import experiment
+from ddpm1d import experiment, schedule
 from ddpm1d.diffusion import generate_block, mlp_predictor, oracle_predictor
 from ddpm1d.errors import ConfigError, DivergenceError
 from ddpm1d.experiment import (
@@ -316,6 +316,17 @@ def test_config_validation_messages():
         tiny_cfg(trials=2.5)
     with pytest.raises(ConfigError, match="final_step_noiseless"):
         tiny_cfg(final_step_noiseless="false")
+
+
+def test_config_construction_builds_no_schedule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ExperimentConfig built a schedule")
+
+    monkeypatch.setattr(experiment, "build_linear", refuse)
+    monkeypatch.setattr(schedule, "build_linear", refuse)
+    assert ExperimentConfig(steps=10**19).steps == 10**19
+    with pytest.raises(ConfigError, match="steps"):
+        ExperimentConfig(steps=0)
 
 
 def test_config_dict_roundtrip():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddpm1d.diffusion import reverse_mean, sigma_sq
 from ddpm1d.errors import ConfigError
 from ddpm1d.schedule import build_linear, retention
 
@@ -18,8 +19,8 @@ def paper_schedule():
 
 
 def test_beta_endpoints_exact(paper_schedule):
-    assert paper_schedule.beta_at(1) == 1e-4
-    assert paper_schedule.beta_at(500) == 0.02
+    assert paper_schedule.beta[0] == 1e-4
+    assert paper_schedule.beta[499] == 0.02
 
 
 def test_terminal_retention_matches_independent_product(paper_schedule):
@@ -36,7 +37,7 @@ def test_retention_strictly_decreasing(paper_schedule):
 
 
 def test_terminal_state_nearly_pure_noise(paper_schedule):
-    assert 0.99 < 1.0 - paper_schedule.alpha_bar_at(500) < 1.0
+    assert 0.99 < 1.0 - paper_schedule.alpha_bar[499] < 1.0
 
 
 def test_alpha_bar_recurrence_exact_in_float(paper_schedule):
@@ -47,27 +48,34 @@ def test_alpha_bar_recurrence_exact_in_float(paper_schedule):
 
 def test_alpha_bar_against_log_sum(paper_schedule):
     via_logs = np.exp(np.sum(np.log(paper_schedule.alpha)))
-    direct = paper_schedule.alpha_bar_at(500)
+    direct = paper_schedule.alpha_bar[499]
     assert abs(via_logs - direct) / direct < 1e-12
 
 
 def test_single_step_schedule():
     s = build_linear(0.5, 0.5, 1)
-    assert s.alpha_bar_at(1) == 0.5
-    assert s.beta_at(1) == 0.5
+    assert s.alpha_bar[0] == 0.5
+    assert s.beta[0] == 0.5
+    assert s.beta.shape == s.alpha.shape == s.alpha_bar.shape == (1,)
 
 
 def test_alpha_bar_at_zero_is_one(paper_schedule):
-    assert paper_schedule.alpha_bar_at(0) == 1.0
+    # the one place alpha_bar_0 enters: beta-tilde_1 = beta_1 (1 - 1) / (1 - alpha_bar_1)
+    assert sigma_sq(paper_schedule, "beta_tilde")[0] == 0.0
 
 
 def test_out_of_range_step_raises(paper_schedule):
+    assert paper_schedule.index(1) == 0
+    assert paper_schedule.index(500) == 499
+    for t in (0, -1, 501):
+        with pytest.raises(IndexError):
+            paper_schedule.index(t)
     with pytest.raises(IndexError):
         retention(paper_schedule, 0)
     with pytest.raises(IndexError):
         retention(paper_schedule, 501)
     with pytest.raises(IndexError):
-        paper_schedule.beta_at(501)
+        reverse_mean(lambda x, t: 0.0, 1.0, 501, paper_schedule)
 
 
 @pytest.mark.parametrize(
@@ -77,6 +85,13 @@ def test_out_of_range_step_raises(paper_schedule):
 def test_invalid_schedules_rejected(beta1, betaT, T):
     with pytest.raises(ConfigError):
         build_linear(beta1, betaT, T)
+
+
+@pytest.mark.parametrize("T", [10**17, 10**19], ids=["beyond-memory", "beyond-numpy"])
+def test_unallocatable_step_count_rejected(T):
+    # sizes beyond any address space: 10**17 float64 values are 800 PB
+    with pytest.raises(ConfigError, match="steps"):
+        build_linear(1e-4, 0.02, T)
 
 
 @given(
@@ -92,6 +107,6 @@ def test_schedule_invariants_hold_for_any_valid_input(a, b, T):
     assert np.all(np.diff(s.beta) >= 0.0)
     assert np.all(np.diff(s.alpha_bar) < 0.0) or T == 1
     assert 0.0 < s.alpha_bar[-1] <= s.alpha_bar[0] < 1.0
-    assert s.beta_at(1) == beta1
+    assert s.beta[0] == beta1
     if T > 1:
-        assert s.beta_at(T) == betaT
+        assert s.beta[s.index(T)] == betaT
