@@ -18,20 +18,23 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100, help="trials per distribution")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int,
+                        help="trial worker processes (default: the CPUs this process may use)")
     parser.add_argument("--out", default="results", help="output root directory")
     args = parser.parse_args()
 
     for experiment in ("table1", "table2"):
         print(f"=== {experiment} ({args.trials} trials/distribution) ===")
-        code = cli_main([
+        argv = [
             "run",
             "--experiment", experiment,
             "--trials", str(args.trials),
             "--seed", str(args.seed),
-            "--workers", str(args.workers),
             "--out", os.path.join(args.out, experiment),
-        ])
+        ]
+        if args.workers is not None:
+            argv += ["--workers", str(args.workers)]
+        code = cli_main(argv)
         if code != 0:
             return code
     return 0

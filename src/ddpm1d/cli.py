@@ -12,11 +12,12 @@ import json
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
 from .diffusion import SIGMA_MODES
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .experiment import (
     ERROR_METRICS,
     REVERSE_NOISE_POLICIES,
@@ -117,7 +118,7 @@ def write_manifest(
 
 def _dump_weights(run: DistributionRun, path: str) -> None:
     if run.first_trial_params is None:
-        raise ConfigError("cannot dump weights: trial 0 diverged during training")
+        raise DivergenceError("cannot dump weights: trial 0 diverged during training")
     Path(path).write_text(json.dumps(list(run.first_trial_params.theta)) + "\n")
 
 
@@ -129,15 +130,16 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--experiment", choices=EXPERIMENTS, default="single")
     run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int, help="base seed (config key base_seed)")
+    run.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                     help="base seed (config key base_seed)")
     # the CPUs this process may run on, which taskset or a cgroup can narrow
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     run.add_argument("--workers", type=int, default=cpus,
                      help="trial worker processes; never affects results")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--gens-per-trial", type=int)
-    run.add_argument("--metric", choices=ERROR_METRICS)
-    run.add_argument("--normalize-mixture", action="store_true",
+    run.add_argument("--metric", choices=ERROR_METRICS, dest="error_metric")
+    run.add_argument("--normalize-mixture", action="store_const", const=True,
                      help="rescale mixture noise to unit variance")
     run.add_argument("--reverse-noise", choices=REVERSE_NOISE_POLICIES,
                      help="distribution of reverse-step and init noise")
@@ -156,10 +158,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """The parsed flags named after config keys; unset ones are None."""
+    keys = ExperimentConfig().to_dict()
+    return {k: v for k, v in vars(args).items() if k in keys}
+
+
 def _cmd_check(args) -> int:
-    overrides = {"beta_start": args.beta_start, "beta_end": args.beta_end,
-                 "steps": args.steps}
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, _overrides(args))
     s = cfg.schedule()
     print(f"beta[1]    = {_fmt(s.beta[0])}")
     print(f"beta[{s.T}]  = {_fmt(s.beta[-1])}")
@@ -175,17 +181,7 @@ def _cmd_selftest() -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = {
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "gens_per_trial": args.gens_per_trial,
-        "error_metric": args.metric,
-        "reverse_noise": args.reverse_noise,
-        "sigma_mode": args.sigma_mode,
-    }
-    if args.normalize_mixture:
-        overrides["normalize_mixture"] = True
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, _overrides(args))
     if args.experiment == "table1":
         distributions = table1_distributions()
     elif args.experiment == "table2":
@@ -241,8 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a runtime failure; an unexpected one shows its traceback
+        if not isinstance(exc, (OSError, DivergenceError)):
+            traceback.print_exc()
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,8 +14,10 @@ batch (samples_per_epoch mod batch_size) is trained on, not dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -213,27 +215,20 @@ def run_trials(
     on_result: Callable[[int, TrialResult], None] | None = None,
 ) -> list[tuple[TrialResult, mlp.MlpParams | None]]:
     """Run ``(config, trial)`` tasks, over one process pool of at most
-    ``min(workers, len(tasks))`` workers when that is above 1. The output
-    follows task order regardless of completion order; ``on_result`` gets each
-    task's index and result as it finishes."""
+    ``min(workers, len(tasks))`` workers when that is above 1. The output and
+    the ``on_result(task index, result)`` calls follow task order."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    pairs: list = [None] * len(tasks)
-
-    def finish(i: int, pair) -> None:
-        pairs[i] = pair
-        if on_result is not None:
-            on_result(i, pair[0])
-
-    if min(workers, len(tasks)) <= 1:
-        for i, task in enumerate(tasks):
-            finish(i, run_trial(*task))
-        return pairs
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = {pool.submit(run_trial, *task): i for i, task in enumerate(tasks)}
-        for fut in as_completed(futures):
-            finish(futures[fut], fut.result())
-    return pairs
+    n = min(workers, len(tasks))
+    pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
+    with pool or nullcontext():
+        pairs = pool.map(run_trial, *zip(*tasks)) if pool else itertools.starmap(run_trial, tasks)
+        out = []
+        for i, pair in enumerate(pairs):
+            out.append(pair)
+            if on_result is not None:
+                on_result(i, pair[0])
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:

@@ -11,9 +11,16 @@ the trained weights but no digit of the csv). So the sample run also dumps
 trial 0's weights at full precision and compares their sha256 with
 ``WEIGHTS_SHA256``.
 
+The sampler has the same blind spot: dividing by ``sqrt(alpha)`` in
+``reverse_mean`` through its reciprocal moves the generated values, yet
+``gen_error`` keeps its 9 digits. So one mixture trial of the sample workload
+is also generated in-process and the sha256 of its generated values and
+divergence mask is compared with ``SAMPLER_SHA256``.
+
 A change that moves results on purpose regenerates the references with
 ``perfbench/make_refs.py``, updates ``WEIGHTS_SHA256`` from a ``--dump-weights``
-run and bumps ``artifact_version``; it does not loosen these comparisons.
+run and ``SAMPLER_SHA256`` from the sampler case, and bumps
+``artifact_version``; it does not loosen these comparisons.
 """
 
 import hashlib
@@ -21,9 +28,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from ddpm1d import cli
+from ddpm1d.diffusion import generate_block, mlp_predictor
+from ddpm1d.experiment import eval_stream, table2_distributions, train_trial
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -35,6 +47,10 @@ CASES.append(("sample", 0, 2))
 WEIGHTS_SHA256 = {
     ("sample", 0): "b1abd22e2541fbb1d1893e71ffb901a569aaf217468edf0e27cde65adf403c60",
 }
+
+# sha256 of x0_hats.tobytes() + mask.tobytes() from generate_block (sample
+# workload, seed 0, mix0.5 trial 0: 2000 chains after 100 epochs)
+SAMPLER_SHA256 = "db15f125c5348b61b91b58dc086ce96db08aed96d2b752f8dcd57f9ad2f0756f"
 
 
 def sha256(path: Path) -> str:
@@ -64,3 +80,15 @@ def test_run_artifacts_match_reference(tmp_path, workload, seed, workers):
         assert sha256(weights) == WEIGHTS_SHA256[workload, seed], (
             f"{workload} seed {seed}: trial 0 weights moved"
         )
+
+
+def test_sampler_output_matches_digest():
+    c = cli.parse_config(BENCH / "workloads" / "sample.json", {"base_seed": 0})
+    c = replace(c, noise=dict(table2_distributions(c.normalize_mixture))["mix0.5"])
+    params, _ = train_trial(c, 0)
+    x0_hats, mask = generate_block(
+        mlp_predictor(params, c.steps, c.activation), c.gens_per_trial, c.schedule(),
+        c.sampler_options(), eval_stream(c, 0),
+    )
+    digest = hashlib.sha256(x0_hats.tobytes() + mask.tobytes()).hexdigest()
+    assert digest == SAMPLER_SHA256, "sample mix0.5 trial 0: generated values moved"

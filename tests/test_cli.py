@@ -261,6 +261,61 @@ def test_unallocatable_steps_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
 
+def test_runtime_failures_exit_code(tmp_path, capsys):
+    # 10**17 float64 values are 800 PB, beyond any address space
+    config = write_tiny_config(tmp_path, gens_per_trial=10**17, epochs=0)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out_dir),
+                 "--workers", "1", "--quiet"])
+    assert code == 2
+    assert "config error" not in capsys.readouterr().err
+    assert not out_dir.exists()
+    # SGD at learning rate 1e300 diverges in training, so trial 0 has no weights
+    config = write_tiny_config(tmp_path, optimizer="sgd", learning_rate=1e300, epochs=3)
+    code = main(["run", "--config", str(config), "--out", str(out_dir),
+                 "--workers", "1", "--quiet", "--dump-weights", str(tmp_path / "w.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" not in err and "cannot dump weights" in err
+    assert (out_dir / "trials.csv").exists()
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_parsed_arguments_are_config_keys_or_command_options(command):
+    args = _build_parser().parse_args([command])
+    keys = ExperimentConfig().to_dict()
+    options = {"command", "config", "experiment", "workers", "out", "dump_weights", "quiet"}
+    assert [name for name in vars(args) if name not in keys and name not in options] == []
+
+def config_echo(tmp_path, config, *flags):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out_dir), "--quiet", *flags]
+    assert main(argv) == 0
+    return json.loads((out_dir / "manifest.json").read_text())["config_echo"]
+
+def test_renamed_flags_resolve_to_their_config_keys(tmp_path):
+    echo = config_echo(tmp_path, write_tiny_config(tmp_path, trials=1),
+                       "--seed", "5", "--metric", "abs_mean", "--normalize-mixture")
+    assert echo["base_seed"] == 5
+    assert echo["error_metric"] == "abs_mean"
+    assert echo["normalize_mixture"] is True
+
+def test_absent_normalize_flag_keeps_the_file_value(tmp_path):
+    echo = config_echo(tmp_path, write_tiny_config(tmp_path, trials=1, normalize_mixture=True))
+    assert echo["normalize_mixture"] is True
+
+def test_progress_lines_follow_csv_order_at_any_worker_count(tmp_path, capsys):
+    config = write_tiny_config(tmp_path, trials=3)
+    logs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        assert main(["run", "--experiment", "table1", "--config", str(config),
+                     "--out", str(out_dir), "--workers", workers]) == 0
+        logs.append(capsys.readouterr().err)
+    assert logs[0] == logs[1]
+    rows = (tmp_path / "out1" / "trials.csv").read_text().splitlines()[1:]
+    expected = [f"[{row.split(',')[1]}] trial {row.split(',')[2]}:" for row in rows]
+    assert [line.split(" loss=")[0] for line in logs[0].splitlines()] == expected
+
 def test_workers_default_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _build_parser().parse_args(["run"]).workers == 1

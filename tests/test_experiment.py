@@ -170,14 +170,6 @@ def test_trial_results_independent_of_trial_count():
     assert three[0] == one[0]
 
 
-def test_on_result_callback_sees_every_trial():
-    cfg = tiny_cfg(trials=3)
-    seen = []
-    tasks = [(cfg, i) for i in range(3)]
-    run_trials(tasks, workers=1, on_result=lambda k, r: seen.append((k, r.trial_index)))
-    assert sorted(seen) == [(0, 0), (1, 1), (2, 2)]
-
-
 @pytest.mark.parametrize("workers", [0, -3])
 def test_run_trials_rejects_non_positive_workers(workers):
     with pytest.raises(ConfigError, match="workers"):
@@ -192,6 +184,18 @@ class RecordingPool(ThreadPoolExecutor):
     def __init__(self, max_workers):
         RecordingPool.built.append(max_workers)
         super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_on_result_callback_sees_every_trial(monkeypatch, workers):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "built", [])
+    # trial 0 trains longest, so it is the last to complete in a pool
+    tasks = [(tiny_cfg(epochs=40), 0), (tiny_cfg(epochs=1), 1), (tiny_cfg(epochs=1), 2)]
+    seen = []
+    run_trials(tasks, workers=workers, on_result=lambda k, r: seen.append((k, r.trial_index)))
+    assert seen == [(0, 0), (1, 1), (2, 2)]
+    assert RecordingPool.built == ([3] if workers == 3 else [])
 
 
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
