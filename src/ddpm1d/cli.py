@@ -103,10 +103,14 @@ def write_csv(
 
 
 def write_manifest(
-    cfg: ExperimentConfig, out_dir: str | Path, wall_time: float, workers: int
+    cfg: ExperimentConfig, out_dir: str | Path, wall_time: float, workers: int,
+    experiment: str,
 ) -> Path:
+    """``config_echo`` fed back through ``--config``, with ``--experiment``
+    set to ``experiment``, reruns the same trials."""
     manifest = {
         "config_echo": cfg.to_dict(),
+        "experiment": experiment,
         "artifact_version": __version__,
         "wall_time_seconds": wall_time,
         "worker_count": workers,
@@ -119,6 +123,8 @@ def write_manifest(
 def _dump_weights(run: DistributionRun, path: str) -> None:
     if run.first_trial_params is None:
         raise DivergenceError("cannot dump weights: trial 0 diverged during training")
+    # the path may lie in --out, which write_csv has not created yet
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(list(run.first_trial_params.theta)) + "\n")
 
 
@@ -205,10 +211,10 @@ def _cmd_run(args) -> int:
 
     trial_rows = [(args.experiment, run.label, r) for run in runs for r in run.results]
     summary_rows = [(args.experiment, run.summary) for run in runs]
-    write_csv(trial_rows, summary_rows, args.out)
-    write_manifest(cfg, args.out, wall, args.workers)
-    if args.dump_weights:
+    if args.dump_weights:  # before the CSVs, so a failed dump leaves none
         _dump_weights(runs[0], args.dump_weights)
+    write_csv(trial_rows, summary_rows, args.out)
+    write_manifest(cfg, args.out, wall, args.workers, args.experiment)
 
     for _, s in summary_rows:
         div = f" diverged={s.n_diverged}" if s.n_diverged else ""

@@ -83,12 +83,12 @@ def oracle_predictor(x0: float, s: Schedule) -> Predictor:
     return predict
 
 
-def mlp_predictor(params: MlpParams, T: int, activation: str = "relu") -> Predictor:
+def mlp_predictor(params: MlpParams, T: int) -> Predictor:
     """Wrap trained weights as a predictor with t_norm = t / T."""
 
     def predict(x_t: np.ndarray, t: int) -> np.ndarray:
         X = np.column_stack([x_t, np.full(len(x_t), t / T)])
-        return forward_batch(params, X, activation)
+        return forward_batch(params, X)
 
     return predict
 

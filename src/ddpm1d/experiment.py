@@ -32,7 +32,6 @@ from .prng import RngStream, seed_stream
 from .schedule import Schedule, build_linear, check_linear
 
 ERROR_METRICS = ("mean_abs", "abs_mean")
-OPTIMIZERS = ("adam", "sgd")
 REVERSE_NOISE_POLICIES = ("same", "gaussian")
 
 
@@ -62,8 +61,9 @@ class ExperimentConfig:
         default="same", metadata={"key": "reverse_noise", "choices": REVERSE_NOISE_POLICIES}
     )
     normalize_mixture: bool = False
-    activation: str = field(default="relu", metadata={"choices": mlp.ACTIVATIONS})
-    optimizer: str = field(default="adam", metadata={"choices": OPTIMIZERS})
+    # fixed, and kept so that configs and manifests that name them still parse
+    activation: str = field(default="relu", metadata={"choices": ("relu",)})
+    optimizer: str = field(default="adam", metadata={"choices": ("adam",)})
 
     def __post_init__(self):
         schema.check(self)
@@ -157,16 +157,13 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[mlp.MlpParams, float
             for lo in range(0, n, cfg.batch_size):
                 Xb = X[lo : lo + cfg.batch_size]
                 yb = eps[lo : lo + cfg.batch_size]
-                loss, grad = mlp.loss_and_grad_arrays(params, Xb, yb, cfg.activation)
+                loss, grad = mlp.loss_and_grad_arrays(params, Xb, yb)
                 if not math.isfinite(loss):
                     raise DivergenceError(
                         f"non-finite training loss in epoch {epoch}", step=epoch
                     )
                 sq_err += loss * len(yb)
-                if cfg.optimizer == "adam":
-                    params, state = mlp.adam_step(params, state, grad, cfg.learning_rate)
-                else:
-                    params = mlp.sgd_step(params, grad, cfg.learning_rate)
+                params, state = mlp.adam_step(params, state, grad, cfg.learning_rate)
             final_loss = sq_err / n
     return params, final_loss
 
@@ -182,7 +179,7 @@ def evaluate_trial(
     diverges the trial itself counts as diverged.
     """
     if isinstance(params, mlp.MlpParams):
-        pred = diffusion.mlp_predictor(params, cfg.steps, cfg.activation)
+        pred = diffusion.mlp_predictor(params, cfg.steps)
     else:
         pred = params
     g = eval_stream(cfg, trial)

@@ -1,9 +1,10 @@
 """Hand-rolled noise-prediction network: 2 inputs, 32 hidden units, 1 output.
 
-Exact analytic gradients and the optimizers are written out by hand; there is
-no autodiff anywhere. Parameters live in one flat float64 vector whose layout
-is [W1 rows, b1, W2, b2] - the same order used by the weight-dump format -
-with W1/b1/W2 exposed as views into it.
+The hidden layer is ReLU and the optimizer is Adam. Exact analytic gradients
+and the Adam step are written out by hand; there is no autodiff anywhere.
+Parameters live in one flat float64 vector whose layout is [W1 rows, b1, W2,
+b2] - the same order used by the weight-dump format - with W1/b1/W2 exposed
+as views into it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .prng import RngStream
 
 N_IN = 2
@@ -26,8 +26,6 @@ _B2 = N_PARAMS - 1
 
 # draws consumed by init_params; the evaluation stream skips exactly this many
 INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
-
-ACTIVATIONS = ("relu", "tanh")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -115,41 +113,25 @@ def init_params(g: RngStream) -> MlpParams:
     return MlpParams(theta)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    raise ConfigError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
-
-
-def _act_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
-    # relu subgradient at 0 is defined as 0
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - h * h
-
-
-def forward_batch(p: MlpParams, X: np.ndarray, activation: str = "relu") -> np.ndarray:
+def forward_batch(p: MlpParams, X: np.ndarray) -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
-    h = _act(X @ p.W1.T + p.b1, activation)
+    h = np.maximum(X @ p.W1.T + p.b1, 0.0)
     return h @ p.W2 + p.theta[_B2]
 
 
-def loss_and_grad_arrays(
-    p: MlpParams, X: np.ndarray, y: np.ndarray, activation: str = "relu"
-) -> tuple[float, np.ndarray]:
-    """Mean squared error and its exact gradient in flat parameter layout."""
+def loss_and_grad_arrays(p: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error and its exact gradient in flat parameter layout; the
+    ReLU subgradient at 0 is 0."""
     n = len(y)
     z1 = X @ p.W1.T + p.b1
-    h = _act(z1, activation)
+    h = np.maximum(z1, 0.0)
     err = h @ p.W2 + p.theta[_B2] - y
     loss = float(err @ err) / n
     dout = (2.0 / n) * err
     grad = np.empty(N_PARAMS)
     grad[_W2] = dout @ h
     grad[_B2] = dout.sum()
-    dz1 = np.outer(dout, p.W2) * _act_grad(z1, h, activation)
+    dz1 = np.outer(dout, p.W2) * (z1 > 0.0).astype(np.float64)
     grad[_W1] = (dz1.T @ X).reshape(HIDDEN * N_IN)
     grad[_B1] = dz1.sum(axis=0)
     return loss, grad
@@ -170,15 +152,7 @@ def adam_step(
     return MlpParams(theta), AdamState(m, v, t)
 
 
-def sgd_step(p: MlpParams, grads: np.ndarray, lr: float) -> MlpParams:
-    if lr <= 0.0:
-        raise ValueError(f"learning rate must be > 0, got {lr}")
-    return MlpParams(p.theta - lr * grads)
-
-
-def finite_diff_check(
-    p: MlpParams, batch: TrainBatch, h: float = 1e-6, activation: str = "relu"
-) -> float:
+def finite_diff_check(p: MlpParams, batch: TrainBatch, h: float = 1e-6) -> float:
     """Worst relative error of the analytic gradient vs central differences of
     the loss ``loss_and_grad_arrays`` returns with it. Denominators are floored
     at 1e-8 so zero-gradient components compare cleanly.
@@ -186,15 +160,15 @@ def finite_diff_check(
     if h <= 0.0:
         raise ValueError(f"step size must be > 0, got {h}")
     X, y = batch.inputs, batch.targets
-    _, grad = loss_and_grad_arrays(p, X, y, activation)
+    _, grad = loss_and_grad_arrays(p, X, y)
     q = p.copy()
     worst = 0.0
     for i in range(N_PARAMS):
         orig = q.theta[i]
         q.theta[i] = orig + h
-        lp, _ = loss_and_grad_arrays(q, X, y, activation)
+        lp, _ = loss_and_grad_arrays(q, X, y)
         q.theta[i] = orig - h
-        lm, _ = loss_and_grad_arrays(q, X, y, activation)
+        lm, _ = loss_and_grad_arrays(q, X, y)
         q.theta[i] = orig
         num = (lp - lm) / (2.0 * h)
         denom = max(abs(grad[i]), abs(num), 1e-8)

@@ -87,7 +87,7 @@ def test_sampler_output_matches_digest():
     c = replace(c, noise=dict(table2_distributions(c.normalize_mixture))["mix0.5"])
     params, _ = train_trial(c, 0)
     x0_hats, mask = generate_block(
-        mlp_predictor(params, c.steps, c.activation), c.gens_per_trial, c.schedule(),
+        mlp_predictor(params, c.steps), c.gens_per_trial, c.schedule(),
         c.sampler_options(), eval_stream(c, 0),
     )
     digest = hashlib.sha256(x0_hats.tobytes() + mask.tobytes()).hexdigest()

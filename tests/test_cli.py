@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "steps": 50,
@@ -159,6 +162,25 @@ def test_manifest_round_trips_to_identical_config(tmp_path):
     echo_path.write_text(json.dumps(manifest["config_echo"]))
     assert parse_config(echo_path) == parse_config(config)
 
+def test_manifest_reruns_a_table_run(tmp_path):
+    config = write_tiny_config(tmp_path, trials=1, epochs=1)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", "--config", str(config), "--experiment", "table2",
+                 "--out", str(first), "--quiet", "--workers", "1"]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(manifest["config_echo"]))
+    assert main(["run", "--config", str(echo), "--experiment", manifest["experiment"],
+                 "--out", str(again), "--quiet", "--workers", "1"]) == 0
+    assert (again / "trials.csv").read_bytes() == (first / "trials.csv").read_bytes()
+
+def test_workload_configs_parse_and_round_trip():
+    workloads = sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
+    assert workloads
+    for path in workloads:
+        cfg = parse_config(path)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
 def test_rerun_is_byte_identical(tmp_path):
     config = write_tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -170,7 +192,7 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_dump_weights_matches_trial_zero(tmp_path):
     config = write_tiny_config(tmp_path)
     out_dir = tmp_path / "out"
-    dump = tmp_path / "weights.json"
+    dump = out_dir / "weights.json"  # in an --out that does not exist yet
     code = main(["run", "--config", str(config), "--out", str(out_dir),
                  "--dump-weights", str(dump), "--quiet"])
     assert code == 0
@@ -226,10 +248,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ({"noise": "gaussian"}, "noise must be a JSON object"),
         ({"noise": []}, "noise must be a JSON object"),
         ({"noise": 5}, "noise must be a JSON object"),
+        ({"activation": "tanh"}, "activation"),
+        ({"optimizer": "sgd"}, "optimizer"),
     ],
     ids=["bool-string", "normalize-string", "fractional-int", "lr-nan", "lr-inf",
          "big-variance-nan", "big-variance-inf", "lr-string", "x0-bool", "mix-prob-bool",
-         "noise-string", "noise-list", "noise-number"],
+         "noise-string", "noise-list", "noise-number", "activation-tanh", "optimizer-sgd"],
 )
 def test_coerced_config_values_exit_code(tmp_path, capsys, extra, key):
     # json writes nan/inf as NaN/Infinity, which json.loads reads back
@@ -270,14 +294,14 @@ def test_runtime_failures_exit_code(tmp_path, capsys):
     assert code == 2
     assert "config error" not in capsys.readouterr().err
     assert not out_dir.exists()
-    # SGD at learning rate 1e300 diverges in training, so trial 0 has no weights
-    config = write_tiny_config(tmp_path, optimizer="sgd", learning_rate=1e300, epochs=3)
+    # Adam at learning rate 1e300 diverges in training, so trial 0 has no weights
+    config = write_tiny_config(tmp_path, learning_rate=1e300, epochs=3)
     code = main(["run", "--config", str(config), "--out", str(out_dir),
                  "--workers", "1", "--quiet", "--dump-weights", str(tmp_path / "w.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" not in err and "cannot dump weights" in err
-    assert (out_dir / "trials.csv").exists()
+    assert not out_dir.exists()
 
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_parsed_arguments_are_config_keys_or_command_options(command):

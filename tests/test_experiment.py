@@ -97,7 +97,7 @@ def test_gens_per_trial_one_is_single_sample_error():
     cfg = tiny_cfg(gens_per_trial=1)
     params, _ = train_trial(cfg, 0)
     err = evaluate_trial(params, cfg, 0)
-    pred = mlp_predictor(params, cfg.steps, cfg.activation)
+    pred = mlp_predictor(params, cfg.steps)
     x0_hats, diverged = generate_block(
         pred, 1, cfg.schedule(), cfg.sampler_options(), eval_stream(cfg, 0)
     )
@@ -115,14 +115,15 @@ def test_error_metrics_differ():
 
 def test_run_trial_handles_divergence_mark():
     # exploding learning rate reliably drives the loss non-finite
-    cfg = tiny_cfg(learning_rate=1e30, optimizer="sgd", epochs=5)
+    cfg = tiny_cfg(learning_rate=1e300, epochs=5)
     result, params = run_trial(cfg, 0)
     assert result.diverged
     assert math.isnan(result.gen_error)
 
 
 def test_training_divergence_reports_one_based_epoch():
-    cfg = tiny_cfg(learning_rate=1e30, optimizer="sgd", epochs=5)
+    # one step per epoch; Adam at 1e300 survives the first and blows up in epoch 2
+    cfg = tiny_cfg(learning_rate=1e300, epochs=5, batch_size=64)
     with pytest.raises(DivergenceError) as err:
         train_trial(cfg, 0)
     step = err.value.step
@@ -278,20 +279,6 @@ def test_run_table_wrappers():
         assert s.n_trials == 1
 
 
-def test_sgd_optimizer_trains():
-    base = dict(trials=1, base_seed=3, optimizer="sgd", learning_rate=1e-3)
-    _, first = train_trial(ExperimentConfig(epochs=1, **base), 0)
-    _, later = train_trial(ExperimentConfig(epochs=50, **base), 0)
-    assert later < first
-
-
-def test_tanh_activation_trains():
-    base = dict(trials=1, base_seed=3, activation="tanh")
-    _, first = train_trial(ExperimentConfig(epochs=1, **base), 0)
-    _, later = train_trial(ExperimentConfig(epochs=50, **base), 0)
-    assert later < first
-
-
 def test_matched_seeds_across_distributions():
     # same trial index => identical weight init regardless of the noise family
     cfg = tiny_cfg(trials=1, epochs=1)
@@ -320,6 +307,10 @@ def test_config_validation_messages():
         tiny_cfg(trials=2.5)
     with pytest.raises(ConfigError, match="final_step_noiseless"):
         tiny_cfg(final_step_noiseless="false")
+    with pytest.raises(ConfigError, match="activation"):
+        tiny_cfg(activation="tanh")
+    with pytest.raises(ConfigError, match="optimizer"):
+        tiny_cfg(optimizer="sgd")
 
 
 def test_config_construction_builds_no_schedule(monkeypatch):

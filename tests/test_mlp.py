@@ -16,7 +16,6 @@ from ddpm1d.mlp import (
     forward_batch,
     init_params,
     loss_and_grad_arrays,
-    sgd_step,
 )
 from ddpm1d.prng import seed_stream
 
@@ -117,11 +116,6 @@ def test_output_bias_gradient_single_sample():
 @pytest.mark.parametrize("seed", range(10))
 def test_gradient_matches_finite_differences(seed):
     worst = finite_diff_check(random_params(seed), random_batch(seed), h=1e-6)
-    assert worst < 1e-5
-
-
-def test_gradient_matches_finite_differences_tanh():
-    worst = finite_diff_check(random_params(0), random_batch(0), h=1e-6, activation="tanh")
     assert worst < 1e-5
 
 
@@ -232,19 +226,10 @@ def test_adam_second_moment_nonnegative():
     assert s.step_count == 3
 
 
-def test_sgd_step():
-    p = MlpParams.zeros()
-    grad = np.ones(N_PARAMS)
-    q = sgd_step(p, grad, lr=0.5)
-    assert np.all(q.theta == -0.5)
-
-
 def test_bad_learning_rate_rejected():
     p = random_params(0)
     with pytest.raises(ValueError):
         adam_step(p, AdamState.zeros(), np.zeros(N_PARAMS), lr=0.0)
-    with pytest.raises(ValueError):
-        sgd_step(p, np.zeros(N_PARAMS), lr=-1.0)
 
 
 def test_batch_validation():
