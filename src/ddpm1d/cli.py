@@ -125,7 +125,7 @@ def _dump_weights(run: DistributionRun, path: str) -> None:
         raise DivergenceError("cannot dump weights: trial 0 diverged during training")
     # the path may lie in --out, which write_csv has not created yet
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(list(run.first_trial_params.theta)) + "\n")
+    Path(path).write_text(json.dumps(list(run.first_trial_params)) + "\n")
 
 
 def _build_parser() -> _Parser:

@@ -28,7 +28,7 @@ import numpy as np
 from . import noise as noise_mod
 from . import schema
 from .errors import ConfigError, DivergenceError
-from .mlp import MlpParams, forward_batch
+from .mlp import forward_batch
 from .noise import NoiseSpec
 from .prng import RngStream
 from .schedule import Schedule
@@ -83,7 +83,7 @@ def oracle_predictor(x0: float, s: Schedule) -> Predictor:
     return predict
 
 
-def mlp_predictor(params: MlpParams, T: int) -> Predictor:
+def mlp_predictor(params: np.ndarray, T: int) -> Predictor:
     """Wrap trained weights as a predictor with t_norm = t / T."""
 
     def predict(x_t: np.ndarray, t: int) -> np.ndarray:

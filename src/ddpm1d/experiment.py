@@ -132,7 +132,7 @@ def eval_stream(cfg: ExperimentConfig, trial: int) -> RngStream:
     return g
 
 
-def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[mlp.MlpParams, float]:
+def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     """Train one denoiser; returns (params, mean loss of the last epoch).
 
     With epochs = 0 the freshly initialized parameters come back untouched and
@@ -169,7 +169,7 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[mlp.MlpParams, float
 
 
 def evaluate_trial(
-    params: mlp.MlpParams | diffusion.Predictor, cfg: ExperimentConfig, trial: int
+    params: np.ndarray | diffusion.Predictor, cfg: ExperimentConfig, trial: int
 ) -> float:
     """Generation error of a trained model (or any predictor) on this trial's
     evaluation stream.
@@ -178,7 +178,7 @@ def evaluate_trial(
     |mean(x0_hat) - x0|. Diverged generations are excluded; if every one
     diverges the trial itself counts as diverged.
     """
-    if isinstance(params, mlp.MlpParams):
+    if isinstance(params, np.ndarray):
         pred = diffusion.mlp_predictor(params, cfg.steps)
     else:
         pred = params
@@ -194,7 +194,7 @@ def evaluate_trial(
     return float(abs(np.mean(good) - cfg.x0))
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, mlp.MlpParams | None]:
+def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, np.ndarray | None]:
     """One full train-then-generate trial. A divergence in either phase comes
     back as a flagged result, with the params when training finished."""
     params, final_loss = None, math.nan
@@ -210,7 +210,7 @@ def run_trials(
     tasks: list[tuple[ExperimentConfig, int]],
     workers: int = 1,
     on_result: Callable[[int, TrialResult], None] | None = None,
-) -> list[tuple[TrialResult, mlp.MlpParams | None]]:
+) -> list[tuple[TrialResult, np.ndarray | None]]:
     """Run ``(config, trial)`` tasks, over one process pool of at most
     ``min(workers, len(tasks))`` workers when that is above 1. The output and
     the ``on_result(task index, result)`` calls follow task order."""
@@ -270,7 +270,7 @@ class DistributionRun:
     label: str
     results: list[TrialResult]
     summary: SummaryRow
-    first_trial_params: mlp.MlpParams | None
+    first_trial_params: np.ndarray | None
 
 
 def run_suite(

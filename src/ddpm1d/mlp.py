@@ -2,9 +2,9 @@
 
 The hidden layer is ReLU and the optimizer is Adam. Exact analytic gradients
 and the Adam step are written out by hand; there is no autodiff anywhere.
-Parameters live in one flat float64 vector whose layout is [W1 rows, b1, W2,
-b2] - the same order used by the weight-dump format - with W1/b1/W2 exposed
-as views into it.
+The parameters are one flat (129,) float64 vector theta in [W1 rows, b1, W2,
+b2] order, the weight-dump order. Nothing wraps it: each function slices it
+directly, and init_params and adam_step return a fresh one.
 """
 
 from __future__ import annotations
@@ -33,48 +33,6 @@ ADAM_EPS = 1e-8
 
 
 @dataclass
-class MlpParams:
-    theta: np.ndarray  # flat (129,) float64
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.shape != (N_PARAMS,):
-            raise ValueError(f"theta must have shape ({N_PARAMS},), got {self.theta.shape}")
-
-    @property
-    def W1(self) -> np.ndarray:
-        return self.theta[_W1].reshape(HIDDEN, N_IN)
-
-    @property
-    def b1(self) -> np.ndarray:
-        return self.theta[_B1]
-
-    @property
-    def W2(self) -> np.ndarray:
-        return self.theta[_W2]
-
-    @property
-    def b2(self) -> float:
-        return float(self.theta[_B2])
-
-    @classmethod
-    def zeros(cls) -> "MlpParams":
-        return cls(np.zeros(N_PARAMS))
-
-    @classmethod
-    def from_parts(cls, W1, b1, W2, b2) -> "MlpParams":
-        theta = np.empty(N_PARAMS)
-        theta[_W1] = np.asarray(W1, dtype=np.float64).reshape(HIDDEN * N_IN)
-        theta[_B1] = np.asarray(b1, dtype=np.float64).reshape(HIDDEN)
-        theta[_W2] = np.asarray(W2, dtype=np.float64).reshape(HIDDEN)
-        theta[_B2] = float(b2)
-        return cls(theta)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.theta.copy())
-
-
-@dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
@@ -99,7 +57,7 @@ class TrainBatch:
             raise ValueError("batch contains non-finite values")
 
 
-def init_params(g: RngStream) -> MlpParams:
+def init_params(g: RngStream) -> np.ndarray:
     """Glorot-uniform weights, zero biases.
 
     Draw order is fixed: 64 uniforms for W1 (row-major), then 32 for W2,
@@ -110,37 +68,39 @@ def init_params(g: RngStream) -> MlpParams:
     theta = np.zeros(N_PARAMS)
     theta[_W1] = (2.0 * g.uniforms(HIDDEN * N_IN) - 1.0) * lim1
     theta[_W2] = (2.0 * g.uniforms(HIDDEN) - 1.0) * lim2
-    return MlpParams(theta)
+    return theta
 
 
-def forward_batch(p: MlpParams, X: np.ndarray) -> np.ndarray:
+def forward_batch(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
-    h = np.maximum(X @ p.W1.T + p.b1, 0.0)
-    return h @ p.W2 + p.theta[_B2]
+    h = np.maximum(X @ theta[_W1].reshape(HIDDEN, N_IN).T + theta[_B1], 0.0)
+    return h @ theta[_W2] + theta[_B2]
 
 
-def loss_and_grad_arrays(p: MlpParams, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_and_grad_arrays(
+    theta: np.ndarray, X: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Mean squared error and its exact gradient in flat parameter layout; the
     ReLU subgradient at 0 is 0."""
     n = len(y)
-    z1 = X @ p.W1.T + p.b1
+    z1 = X @ theta[_W1].reshape(HIDDEN, N_IN).T + theta[_B1]
     h = np.maximum(z1, 0.0)
-    err = h @ p.W2 + p.theta[_B2] - y
+    err = h @ theta[_W2] + theta[_B2] - y
     loss = float(err @ err) / n
     dout = (2.0 / n) * err
     grad = np.empty(N_PARAMS)
     grad[_W2] = dout @ h
     grad[_B2] = dout.sum()
-    dz1 = np.outer(dout, p.W2) * (z1 > 0.0).astype(np.float64)
+    dz1 = np.outer(dout, theta[_W2]) * (z1 > 0.0).astype(np.float64)
     grad[_W1] = (dz1.T @ X).reshape(HIDDEN * N_IN)
     grad[_B1] = dz1.sum(axis=0)
     return loss, grad
 
 
 def adam_step(
-    p: MlpParams, s: AdamState, grads: np.ndarray, lr: float
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; pure (returns fresh params and state)."""
+    theta: np.ndarray, s: AdamState, grads: np.ndarray, lr: float
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update; pure (returns a fresh theta and state)."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     t = s.step_count + 1
@@ -148,11 +108,10 @@ def adam_step(
     v = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (grads * grads)
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    theta = p.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return MlpParams(theta), AdamState(m, v, t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m, v, t)
 
 
-def finite_diff_check(p: MlpParams, batch: TrainBatch, h: float = 1e-6) -> float:
+def finite_diff_check(theta: np.ndarray, batch: TrainBatch, h: float = 1e-6) -> float:
     """Worst relative error of the analytic gradient vs central differences of
     the loss ``loss_and_grad_arrays`` returns with it. Denominators are floored
     at 1e-8 so zero-gradient components compare cleanly.
@@ -160,16 +119,16 @@ def finite_diff_check(p: MlpParams, batch: TrainBatch, h: float = 1e-6) -> float
     if h <= 0.0:
         raise ValueError(f"step size must be > 0, got {h}")
     X, y = batch.inputs, batch.targets
-    _, grad = loss_and_grad_arrays(p, X, y)
-    q = p.copy()
+    _, grad = loss_and_grad_arrays(theta, X, y)
+    q = theta.copy()
     worst = 0.0
     for i in range(N_PARAMS):
-        orig = q.theta[i]
-        q.theta[i] = orig + h
+        orig = q[i]
+        q[i] = orig + h
         lp, _ = loss_and_grad_arrays(q, X, y)
-        q.theta[i] = orig - h
+        q[i] = orig - h
         lm, _ = loss_and_grad_arrays(q, X, y)
-        q.theta[i] = orig
+        q[i] = orig
         num = (lp - lm) / (2.0 * h)
         denom = max(abs(grad[i]), abs(num), 1e-8)
         worst = max(worst, abs(grad[i] - num) / denom)

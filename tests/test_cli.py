@@ -200,7 +200,7 @@ def test_dump_weights_matches_trial_zero(tmp_path):
     assert len(weights) == 129
     cfg = parse_config(config)
     _, params = run_trial(cfg, 0)
-    assert np.array_equal(np.array(weights), params.theta)
+    assert np.array_equal(np.array(weights), params)
 
 def test_cli_seed_flag_changes_results(tmp_path):
     config = write_tiny_config(tmp_path)

@@ -23,7 +23,7 @@ from ddpm1d.experiment import (
     table2_distributions,
     train_trial,
 )
-from ddpm1d.mlp import INIT_DRAWS, MlpParams, init_params
+from ddpm1d.mlp import INIT_DRAWS, N_PARAMS, init_params
 from ddpm1d.noise import NoiseSpec
 from ddpm1d.prng import seed_stream
 
@@ -46,7 +46,7 @@ def test_zero_epochs_returns_untouched_init():
     cfg = tiny_cfg(epochs=0)
     params, final_loss = train_trial(cfg, 0)
     fresh = init_params(seed_stream(cfg.base_seed, 0))
-    assert np.array_equal(params.theta, fresh.theta)
+    assert np.array_equal(params, fresh)
     assert math.isnan(final_loss)
 
 
@@ -54,7 +54,7 @@ def test_training_is_deterministic():
     cfg = tiny_cfg()
     p1, l1 = train_trial(cfg, 1)
     p2, l2 = train_trial(cfg, 1)
-    assert np.array_equal(p1.theta, p2.theta)
+    assert np.array_equal(p1, p2)
     assert l1 == l2
 
 
@@ -62,7 +62,7 @@ def test_trials_are_isolated():
     cfg = tiny_cfg()
     p0, _ = train_trial(cfg, 0)
     p1, _ = train_trial(cfg, 1)
-    assert not np.array_equal(p0.theta, p1.theta)
+    assert not np.array_equal(p0, p1)
 
 
 def test_epoch_mean_loss_drops_over_fifty_epochs():
@@ -90,7 +90,7 @@ def test_evaluate_trial_accepts_oracle_predictor():
 
 def test_evaluate_trial_zero_params_error_large():
     cfg = tiny_cfg(gens_per_trial=200)
-    assert evaluate_trial(MlpParams.zeros(), cfg, 0) > 1.0
+    assert evaluate_trial(np.zeros(N_PARAMS), cfg, 0) > 1.0
 
 
 def test_gens_per_trial_one_is_single_sample_error():
@@ -146,7 +146,7 @@ def test_run_trial_flags_evaluation_divergence_and_keeps_params():
     assert result.diverged
     assert result.final_epoch_loss == final_loss
     assert math.isnan(result.gen_error)
-    assert np.array_equal(kept.theta, params.theta)
+    assert np.array_equal(kept, params)
 
 
 def test_single_trial_experiment():
@@ -284,9 +284,9 @@ def test_matched_seeds_across_distributions():
     cfg = tiny_cfg(trials=1, epochs=1)
     runs = run_suite(cfg, table1_distributions(), workers=1)
     init = init_params(seed_stream(cfg.base_seed, 0))
-    trained = [run.first_trial_params.theta for run in runs]
+    trained = [run.first_trial_params for run in runs]
     for theta in trained:
-        assert theta.shape == init.theta.shape
+        assert theta.shape == init.shape
     assert not np.array_equal(trained[0], trained[1])
 
 

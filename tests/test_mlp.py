@@ -9,7 +9,6 @@ from ddpm1d.mlp import (
     INIT_DRAWS,
     N_PARAMS,
     AdamState,
-    MlpParams,
     TrainBatch,
     adam_step,
     finite_diff_check,
@@ -30,27 +29,43 @@ def random_batch(seed, n=8):
     return TrainBatch(inputs, g.gaussians(n))
 
 
+# the documented flat layout [W1 rows (32 x 2), b1 (32), W2 (32), b2], sliced
+# here without mlp's own slices so that tests pin it from outside
+def unpack(theta):
+    return theta[:64].reshape(32, 2), theta[64:96], theta[96:128], theta[128]
+
+
 # straight-line reimplementation of the forward pass, used as an oracle
-def forward_by_hand(p, x_t, t_norm):
-    total = p.b2
+def forward_by_hand(theta, x_t, t_norm):
+    W1, b1, W2, b2 = unpack(theta)
+    total = b2
     for i in range(HIDDEN):
-        z = p.W1[i, 0] * x_t + p.W1[i, 1] * t_norm + p.b1[i]
+        z = W1[i, 0] * x_t + W1[i, 1] * t_norm + b1[i]
         if z > 0.0:
-            total += p.W2[i] * z
+            total += W2[i] * z
     return total
 
 
 def test_param_count():
     assert N_PARAMS == 129
-    assert init_params(seed_stream(0, 0)).theta.shape == (129,)
+    assert init_params(seed_stream(0, 0)).shape == (129,)
+
+
+def test_init_and_adam_return_fresh_flat_float64_vectors():
+    p = init_params(seed_stream(0, 0))
+    q, _ = adam_step(p, AdamState.zeros(), np.ones(N_PARAMS), lr=1e-3)
+    for theta in (p, q):
+        assert type(theta) is np.ndarray
+        assert theta.shape == (N_PARAMS,) and theta.dtype == np.float64
+    assert not np.shares_memory(p, q)
 
 
 def test_init_bounds_and_zero_biases():
-    p = init_params(seed_stream(42, 0))
-    assert np.abs(p.W1).max() <= np.sqrt(6.0 / 34.0)
-    assert np.abs(p.W2).max() <= np.sqrt(6.0 / 33.0)
-    assert np.all(p.b1 == 0.0)
-    assert p.b2 == 0.0
+    W1, b1, W2, b2 = unpack(init_params(seed_stream(42, 0)))
+    assert np.abs(W1).max() <= np.sqrt(6.0 / 34.0)
+    assert np.abs(W2).max() <= np.sqrt(6.0 / 33.0)
+    assert np.all(b1 == 0.0)
+    assert b2 == 0.0
 
 
 def test_init_deterministic_and_draw_count():
@@ -58,20 +73,18 @@ def test_init_deterministic_and_draw_count():
     p = init_params(g)
     assert g.uniforms_drawn == INIT_DRAWS
     q = init_params(seed_stream(7, 0))
-    assert np.array_equal(p.theta, q.theta)
+    assert np.array_equal(p, q)
 
 
 def test_forward_zero_network_outputs_bias():
-    p = MlpParams.zeros()
-    p.theta[-1] = 3.0
+    p = np.zeros(N_PARAMS)
+    p[-1] = 3.0
     X = np.array([[-5.0, 0.5], [0.0, 0.5], [2.5, 0.5]])
     assert np.all(forward_batch(p, X) == 3.0)
 
 
 def test_forward_constant_hidden_layer():
-    p = MlpParams.from_parts(
-        np.zeros((HIDDEN, 2)), np.full(HIDDEN, 0.25), np.ones(HIDDEN), 0.0
-    )
+    p = np.concatenate([np.zeros(2 * HIDDEN), np.full(HIDDEN, 0.25), np.ones(HIDDEN), [0.0]])
     out = forward_batch(p, np.array([[1.0, 0.1], [-9.0, 0.9]]))
     assert out == pytest.approx([HIDDEN * 0.25, HIDDEN * 0.25])
 
@@ -96,8 +109,8 @@ def test_forward_batch_matches_scalar():
 
 
 def test_loss_zero_at_perfect_prediction():
-    p = MlpParams.zeros()
-    p.theta[-1] = 1.5
+    p = np.zeros(N_PARAMS)
+    p[-1] = 1.5
     batch = TrainBatch(np.array([[0.3, 0.1], [0.9, 0.7]]), np.array([1.5, 1.5]))
     loss, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
     assert loss == 0.0
@@ -121,7 +134,7 @@ def test_gradient_matches_finite_differences(seed):
 
 def test_finite_diff_zero_case():
     batch = TrainBatch(np.zeros((4, 2)), np.zeros(4))
-    assert finite_diff_check(MlpParams.zeros(), batch) == 0.0
+    assert finite_diff_check(np.zeros(N_PARAMS), batch) == 0.0
 
 
 def test_finite_diff_catches_a_wrong_gradient(monkeypatch):
@@ -149,19 +162,19 @@ def test_adam_zero_gradient_is_fixed_point():
     p = random_params(5)
     s = AdamState.zeros()
     q, s2 = adam_step(p, s, np.zeros(N_PARAMS), lr=1e-3)
-    assert np.array_equal(q.theta, p.theta)
+    assert np.array_equal(q, p)
     assert s2.step_count == 1
 
 
 def test_adam_first_step_magnitude_near_lr():
-    p = MlpParams.zeros()
+    p = np.zeros(N_PARAMS)
     grad = np.zeros(N_PARAMS)
     grad[-1] = 0.37
     q, _ = adam_step(p, AdamState.zeros(), grad, lr=1e-3)
-    delta = p.theta[-1] - q.theta[-1]
+    delta = p[-1] - q[-1]
     # bias-corrected first step: lr * |g| / (|g| + eps)
     assert delta == pytest.approx(1e-3, rel=1e-6)
-    assert np.all(q.theta[:-1] == 0.0)
+    assert np.all(q[:-1] == 0.0)
 
 
 def test_adam_two_steps_match_hand_computation():
@@ -170,7 +183,7 @@ def test_adam_two_steps_match_hand_computation():
     # component also on eps
     g1 = np.array([0.5, 3.0, 1e-8])
     g2 = np.array([-2.0, 3.0, 3e-8])
-    p, s = MlpParams.zeros(), AdamState.zeros()
+    p, s = np.zeros(N_PARAMS), AdamState.zeros()
     for g in (g1, g2):
         grad = np.zeros(N_PARAMS)
         grad[:3] = g
@@ -184,20 +197,20 @@ def test_adam_two_steps_match_hand_computation():
     assert s.step_count == 2
     assert s.m[:3] == pytest.approx(m2, rel=1e-12)
     assert s.v[:3] == pytest.approx(v2, rel=1e-12)
-    assert p.theta[:3] == pytest.approx(theta2, rel=1e-12)
-    assert np.all(p.theta[3:] == 0.0)
+    assert p[:3] == pytest.approx(theta2, rel=1e-12)
+    assert np.all(p[3:] == 0.0)
 
 
 def test_adam_converges_on_scalar_quadratic():
     # drive the output bias toward 2 on f(w) = (w - 2)^2
-    p = MlpParams.zeros()
+    p = np.zeros(N_PARAMS)
     s = AdamState.zeros()
     for _ in range(100):
         grad = np.zeros(N_PARAMS)
-        grad[-1] = 2.0 * (p.theta[-1] - 2.0)
+        grad[-1] = 2.0 * (p[-1] - 2.0)
         p, s = adam_step(p, s, grad, lr=0.1)
-    assert abs(p.theta[-1] - 2.0) < 0.5
-    assert (p.theta[-1] - 2.0) ** 2 < 4.0  # below the starting loss
+    assert abs(p[-1] - 2.0) < 0.5
+    assert (p[-1] - 2.0) ** 2 < 4.0  # below the starting loss
 
 
 def test_adam_update_is_pure():
@@ -205,13 +218,13 @@ def test_adam_update_is_pure():
     s = AdamState.zeros()
     batch = random_batch(6)
     _, grad = loss_and_grad_arrays(p, batch.inputs, batch.targets)
-    theta_before = p.theta.copy()
+    theta_before = p.copy()
     q1, s1 = adam_step(p, s, grad, lr=1e-3)
     q2, s2 = adam_step(p, s, grad, lr=1e-3)
-    assert np.array_equal(q1.theta, q2.theta)
+    assert np.array_equal(q1, q2)
     assert np.array_equal(s1.m, s2.m)
     assert np.array_equal(s1.v, s2.v)
-    assert np.array_equal(p.theta, theta_before)
+    assert np.array_equal(p, theta_before)
     assert s.step_count == 0
 
 
@@ -245,7 +258,7 @@ def test_batch_validation():
 def test_forward_affine_in_output_bias(shift, x_t, t_norm):
     p = random_params(2)
     q = p.copy()
-    q.theta[-1] += shift
+    q[-1] += shift
     X = np.array([[x_t, t_norm]])
     assert forward_batch(q, X)[0] == pytest.approx(
         forward_batch(p, X)[0] + shift, rel=1e-9, abs=1e-9
