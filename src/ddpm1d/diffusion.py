@@ -2,9 +2,9 @@
 noise-prediction oracle that exists because the data distribution is a point
 mass.
 
-A predictor is any callable ``pred(x_t, t) -> eps_hat`` where ``x_t`` is an
-ndarray of chain states (a float in ``noiseless_reverse_chain``) and ``t`` is
-the 1-based step. The oracle predictor inverts the forward map exactly;
+A predictor is any callable ``pred(x_t, t) -> eps_hat`` where ``x_t`` is a
+float64 ndarray of chain states, ``eps_hat`` an ndarray of the same shape, and
+``t`` the 1-based step. The oracle predictor inverts the forward map exactly;
 ``mlp_predictor`` wraps trained weights with the normalized-time input
 convention t_norm = t / T.
 
@@ -33,7 +33,7 @@ from .noise import NoiseSpec
 from .prng import RngStream
 from .schedule import Schedule
 
-Predictor = Callable[..., object]
+Predictor = Callable[[np.ndarray, int], np.ndarray]
 
 SIGMA_MODES = ("beta", "beta_tilde")
 
@@ -144,9 +144,9 @@ def noiseless_reverse_chain(pred: Predictor, x_start: float, s: Schedule) -> flo
     With the oracle predictor this contracts to the target from any start; it
     validates the sampler independently of any training.
     """
-    x = float(x_start)
+    x = np.array([x_start], dtype=np.float64)  # a one-chain state, as predictors take
     for t in range(s.T, 0, -1):
-        x = float(reverse_mean(pred, x, t, s))
-        if not abs(x) <= DIVERGENCE_LIMIT:
-            raise DivergenceError(f"state {x} leaving step t={t} diverged", step=t)
-    return x
+        x = reverse_mean(pred, x, t, s)
+        if not abs(x[0]) <= DIVERGENCE_LIMIT:
+            raise DivergenceError(f"state {x[0]} leaving step t={t} diverged", step=t)
+    return float(x[0])

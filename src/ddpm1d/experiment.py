@@ -40,26 +40,24 @@ class ExperimentConfig:
     """Full description of one experiment; defaults are the reference setup
     (target 7, linear schedule 1e-4..0.02 over 500 steps, 3000 epochs of 1000
     samples in batches of 64 at learning rate 1e-3). With ``normalize_mixture``
-    a mixture ``noise`` is stored with ``normalize_to_unit`` set."""
+    a mixture ``noise`` is stored with ``normalize`` set."""
 
     x0: float = 7.0
     beta_start: float = 1e-4
     beta_end: float = 0.02
     steps: int = 500
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    epochs: int = 3000
-    samples_per_epoch: int = 1000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    trials: int = 100
-    gens_per_trial: int = 100
+    epochs: int = field(default=3000, metadata={">=": 0})
+    samples_per_epoch: int = field(default=1000, metadata={">=": 1})
+    batch_size: int = field(default=64, metadata={">=": 1})
+    learning_rate: float = field(default=1e-3, metadata={">": 0.0})
+    trials: int = field(default=100, metadata={">=": 1})
+    gens_per_trial: int = field(default=100, metadata={">=": 1})
     error_metric: str = field(default="mean_abs", metadata={"choices": ERROR_METRICS})
-    base_seed: int = 0
+    base_seed: int = field(default=0, metadata={">=": 0})
     sigma_mode: str = field(default="beta", metadata={"choices": diffusion.SIGMA_MODES})
     final_step_noiseless: bool = True
-    reverse_noise_policy: str = field(
-        default="same", metadata={"key": "reverse_noise", "choices": REVERSE_NOISE_POLICIES}
-    )
+    reverse_noise: str = field(default="same", metadata={"choices": REVERSE_NOISE_POLICIES})
     normalize_mixture: bool = False
     # fixed, and kept so that configs and manifests that name them still parse
     activation: str = field(default="relu", metadata={"choices": ("relu",)})
@@ -68,28 +66,19 @@ class ExperimentConfig:
     def __post_init__(self):
         schema.check(self)
         if self.normalize_mixture and self.noise.family == "mixture":
-            object.__setattr__(self, "noise", replace(self.noise, normalize_to_unit=True))
+            object.__setattr__(self, "noise", replace(self.noise, normalize=True))
         check_linear(self.beta_start, self.beta_end, self.steps)
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for key in ("samples_per_epoch", "batch_size", "trials", "gens_per_trial"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.batch_size > self.samples_per_epoch:
             raise ConfigError(
                 f"batch_size ({self.batch_size}) cannot exceed "
                 f"samples_per_epoch ({self.samples_per_epoch})"
             )
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
     def schedule(self) -> Schedule:
         return build_linear(self.beta_start, self.beta_end, self.steps)
 
     def sampler_options(self) -> SamplerOptions:
-        noise = self.noise if self.reverse_noise_policy == "same" else NoiseSpec("gaussian")
+        noise = self.noise if self.reverse_noise == "same" else NoiseSpec("gaussian")
         return SamplerOptions(noise, self.sigma_mode, self.final_step_noiseless)
 
     def to_dict(self) -> dict:
@@ -258,10 +247,8 @@ def table2_distributions(normalize: bool = False) -> list[tuple[str, NoiseSpec]]
     """Gaussian plus the two scale mixtures, in reporting order."""
     return [
         ("gaussian", NoiseSpec("gaussian")),
-        ("mix0.9", NoiseSpec("mixture", mix_prob=0.9, big_variance=100.0,
-                             normalize_to_unit=normalize)),
-        ("mix0.5", NoiseSpec("mixture", mix_prob=0.5, big_variance=100.0,
-                             normalize_to_unit=normalize)),
+        ("mix0.9", NoiseSpec("mixture", mix_prob=0.9, big_variance=100.0, normalize=normalize)),
+        ("mix0.5", NoiseSpec("mixture", mix_prob=0.5, big_variance=100.0, normalize=normalize)),
     ]
 
 

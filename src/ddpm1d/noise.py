@@ -43,21 +43,17 @@ class NoiseSpec:
     """Declarative description of one noise distribution.
 
     ``mix_prob`` and ``big_variance`` only matter for the mixture family;
-    ``normalize_to_unit`` rescales the mixture to unit variance (the three
-    other families have unit variance by construction).
+    ``normalize`` rescales the mixture to unit variance (the three other
+    families have unit variance by construction).
     """
 
     family: str = field(default="gaussian", metadata={"choices": FAMILIES})
-    mix_prob: float = 0.9
-    big_variance: float = 100.0
-    normalize_to_unit: bool = field(default=False, metadata={"key": "normalize"})
+    mix_prob: float = field(default=0.9, metadata={">=": 0.0, "<=": 1.0})
+    big_variance: float = field(default=100.0, metadata={">": 0.0})
+    normalize: bool = False
 
     def __post_init__(self):
         schema.check(self)
-        if not 0.0 <= self.mix_prob <= 1.0:
-            raise ConfigError(f"mix_prob must be in [0, 1], got {self.mix_prob}")
-        if self.big_variance <= 0.0:
-            raise ConfigError(f"big_variance must be > 0, got {self.big_variance}")
 
     def label(self) -> str:
         if self.family == "mixture":
@@ -81,7 +77,7 @@ def _mixture_raw_variance(spec: NoiseSpec) -> float:
 
 def analytic_variance(spec: NoiseSpec) -> float:
     """Exact variance of the distribution described by ``spec``."""
-    if spec.family != "mixture" or spec.normalize_to_unit:
+    if spec.family != "mixture" or spec.normalize:
         return 1.0
     return _mixture_raw_variance(spec)
 
@@ -98,7 +94,7 @@ def sample_block(spec: NoiseSpec, n: int, g: RngStream) -> np.ndarray:
     narrow = g.uniforms(n) < spec.mix_prob
     z = g.gaussians(n)
     z = np.where(narrow, z, z * np.sqrt(spec.big_variance))
-    if spec.normalize_to_unit:
+    if spec.normalize:
         z = z / np.sqrt(_mixture_raw_variance(spec))
     return z
 

@@ -9,12 +9,15 @@
     str     a string, one of ``field(metadata={"choices": ...})`` when set
     config  an instance of the annotated config class
 
-A field's JSON key is its name unless ``field(metadata={"key": ...})`` renames it.
+A number must also meet its field's bounds, any of ``">="``, ``"<="`` and
+``">"`` in its metadata, as in ``field(default=1, metadata={">=": 1})``. A
+field's JSON key is its name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import sys
 import typing
 from functools import cache
@@ -22,14 +25,14 @@ from functools import cache
 from .errors import ConfigError
 
 _TAKES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_BOUNDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
 @cache
-def _fields(cls) -> tuple[tuple[str, str, type, tuple | None], ...]:
+def _fields(cls) -> tuple[tuple[str, type, typing.Mapping], ...]:
     # resolving the string annotations is the slow part: once per class
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name], f.metadata.get("choices"))
-                 for f in dataclasses.fields(cls))
+    return tuple((f.name, hints[f.name], f.metadata) for f in dataclasses.fields(cls))
 
 
 def _accepts(typ: type, value, choices: tuple | None) -> bool:
@@ -47,13 +50,17 @@ def _accepts(typ: type, value, choices: tuple | None) -> bool:
 
 
 def check(obj) -> None:
-    """Reject a field value its annotation does not allow, naming the JSON
-    key; store accepted numbers as the annotated type."""
-    for name, key, typ, choices in _fields(type(obj)):
+    """Reject a field value its annotation or bounds do not allow, naming the
+    JSON key; store accepted numbers as the annotated type."""
+    for name, typ, meta in _fields(type(obj)):
         value = getattr(obj, name)
+        choices = meta.get("choices")
         if not _accepts(typ, value, choices):
             takes = f"one of {choices}" if choices else _TAKES.get(typ, f"a {typ.__name__}")
-            raise ConfigError(f"config key {key!r} must be {takes}, got {value!r}")
+            raise ConfigError(f"config key {name!r} must be {takes}, got {value!r}")
+        for op, holds in _BOUNDS.items():
+            if op in meta and not holds(value, meta[op]):
+                raise ConfigError(f"config key {name!r} must be {op} {meta[op]}, got {value!r}")
         if (typ is int or typ is float) and type(value) is not typ:
             object.__setattr__(obj, name, typ(value))
 
@@ -64,14 +71,14 @@ def from_json(cls, d, where: str = "config"):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     fields = _fields(cls)
-    unknown = set(d) - {key for _, key, _, _ in fields}
+    unknown = set(d) - {name for name, _, _ in fields}
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown, key=str)}")
-    return cls(**{name: typ.from_dict(d[key]) if dataclasses.is_dataclass(typ) else d[key]
-                  for name, key, typ, _ in fields if key in d})
+    return cls(**{name: typ.from_dict(d[name]) if dataclasses.is_dataclass(typ) else d[name]
+                  for name, typ, _ in fields if name in d})
 
 
 def to_json(obj) -> dict:
-    """Every field of ``obj`` under its JSON key, so ``from_json`` inverts it."""
-    return {key: to_json(getattr(obj, name)) if dataclasses.is_dataclass(typ)
-            else getattr(obj, name) for name, key, typ, _ in _fields(type(obj))}
+    """Every field of ``obj`` under its name, so ``from_json`` inverts it."""
+    return {name: to_json(getattr(obj, name)) if dataclasses.is_dataclass(typ)
+            else getattr(obj, name) for name, typ, _ in _fields(type(obj))}

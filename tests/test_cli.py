@@ -99,7 +99,7 @@ def test_normalize_mixture_key(tmp_path):
         normalize_mixture=True,
     )
     cfg = parse_config(path)
-    assert cfg.noise.normalize_to_unit
+    assert cfg.noise.normalize
 
 def test_write_csv_schema_and_order(tmp_path):
     r = TrialResult(0, 9, 0.125, 0.0625, False)
@@ -211,7 +211,7 @@ def test_cli_seed_flag_changes_results(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, name",
-    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise_policy"),
+    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise"),
      ("--sigma-mode", "sigma_mode")],
 )
 def test_flag_choices_come_from_the_schema(flag, name):
@@ -250,10 +250,26 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ({"noise": 5}, "noise must be a JSON object"),
         ({"activation": "tanh"}, "activation"),
         ({"optimizer": "sgd"}, "optimizer"),
+        ({"epochs": -1}, "config key 'epochs' must be >= 0, got -1"),
+        ({"samples_per_epoch": 0}, "config key 'samples_per_epoch' must be >= 1, got 0"),
+        ({"batch_size": 0}, "config key 'batch_size' must be >= 1, got 0"),
+        ({"learning_rate": 0.0}, "config key 'learning_rate' must be > 0.0, got 0.0"),
+        ({"trials": 0}, "config key 'trials' must be >= 1, got 0"),
+        ({"gens_per_trial": 0}, "config key 'gens_per_trial' must be >= 1, got 0"),
+        ({"base_seed": -1}, "config key 'base_seed' must be >= 0, got -1"),
+        ({"noise": {"family": "mixture", "mix_prob": -0.1}},
+         "config key 'mix_prob' must be >= 0.0, got -0.1"),
+        ({"noise": {"family": "mixture", "mix_prob": 1.1}},
+         "config key 'mix_prob' must be <= 1.0, got 1.1"),
+        ({"noise": {"family": "mixture", "big_variance": 0.0}},
+         "config key 'big_variance' must be > 0.0, got 0.0"),
     ],
     ids=["bool-string", "normalize-string", "fractional-int", "lr-nan", "lr-inf",
          "big-variance-nan", "big-variance-inf", "lr-string", "x0-bool", "mix-prob-bool",
-         "noise-string", "noise-list", "noise-number", "activation-tanh", "optimizer-sgd"],
+         "noise-string", "noise-list", "noise-number", "activation-tanh", "optimizer-sgd",
+         "epochs-negative", "samples-zero", "batch-zero", "lr-zero", "trials-zero",
+         "gens-zero", "seed-negative", "mix-prob-below", "mix-prob-above",
+         "big-variance-zero"],
 )
 def test_coerced_config_values_exit_code(tmp_path, capsys, extra, key):
     # json writes nan/inf as NaN/Infinity, which json.loads reads back

@@ -145,6 +145,15 @@ def test_noiseless_oracle_chain_contracts_to_target(sched):
         assert abs(noiseless_reverse_chain(pred, start, sched) - X0) < 1e-6
 
 
+def test_noiseless_chain_runs_a_network(sched):
+    # predictors take ndarrays, so the chain is one chain of a one-element state
+    pred = mlp_predictor(init_params(seed_stream(0, 0)), sched.T)
+    x = np.array([X0])
+    for t in range(sched.T, 0, -1):
+        x = reverse_mean(pred, x, t, sched)
+    assert noiseless_reverse_chain(pred, X0, sched) == x[0]
+
+
 def test_noiseless_chain_from_forward_sample(sched):
     pred = oracle_predictor(X0, sched)
     x_T = q_sample(X0, 500, sched, 1.3)

@@ -256,7 +256,7 @@ def test_table_distribution_sets():
     assert [label for label, _ in table1_distributions()] == ["gaussian", "uniform", "arcsine"]
     assert [label for label, _ in table2_distributions()] == ["gaussian", "mix0.9", "mix0.5"]
     for _, spec in table2_distributions(normalize=True)[1:]:
-        assert spec.normalize_to_unit
+        assert spec.normalize
 
 
 def test_run_suite_smoke():
@@ -282,12 +282,14 @@ def test_run_table_wrappers():
 def test_matched_seeds_across_distributions():
     # same trial index => identical weight init regardless of the noise family
     cfg = tiny_cfg(trials=1, epochs=1)
-    runs = run_suite(cfg, table1_distributions(), workers=1)
     init = init_params(seed_stream(cfg.base_seed, 0))
-    trained = [run.first_trial_params for run in runs]
-    for theta in trained:
-        assert theta.shape == init.shape
-    assert not np.array_equal(trained[0], trained[1])
+    families = table1_distributions() + table2_distributions() + table2_distributions(True)
+    for label, spec in families:
+        theta, _ = train_trial(replace(cfg, noise=spec, epochs=0), 0)
+        assert np.array_equal(theta, init), label
+    # and training from it then depends on the noise
+    runs = run_suite(cfg, table1_distributions(), workers=1)
+    assert not np.array_equal(runs[0].first_trial_params, runs[1].first_trial_params)
 
 
 def test_config_validation_messages():
@@ -329,7 +331,7 @@ def test_config_dict_roundtrip():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     # keyword construction applies normalize_mixture as from_dict does
     norm = tiny_cfg(noise=NoiseSpec("mixture", 0.5, 100.0), normalize_mixture=True)
-    assert norm.noise.normalize_to_unit
+    assert norm.noise.normalize
     assert ExperimentConfig.from_dict(norm.to_dict()) == norm
 
 
@@ -375,7 +377,7 @@ def test_sampler_options_follow_policy():
     mix = NoiseSpec("mixture", 0.5, 100.0)
     cfg = tiny_cfg(noise=mix)
     assert cfg.sampler_options().noise == mix
-    gauss_cfg = replace(cfg, reverse_noise_policy="gaussian")
+    gauss_cfg = replace(cfg, reverse_noise="gaussian")
     assert gauss_cfg.sampler_options().noise == NoiseSpec("gaussian")
 
 

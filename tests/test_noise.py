@@ -53,7 +53,7 @@ def test_mixture_unnormalized_variance():
 
 
 def test_mixture_normalized_variance():
-    spec = NoiseSpec("mixture", mix_prob=0.9, big_variance=100.0, normalize_to_unit=True)
+    spec = NoiseSpec("mixture", mix_prob=0.9, big_variance=100.0, normalize=True)
     rep = moment_report(spec, 1_000_000, seed_stream(31, 1))
     assert abs(rep.variance - 1.0) < 0.02
 
@@ -74,7 +74,7 @@ def test_analytic_variance_unit_families():
 def test_analytic_variance_mixture():
     assert analytic_variance(NoiseSpec("mixture", 0.5, 100.0)) == 50.5
     assert analytic_variance(NoiseSpec("mixture", 0.9, 100.0)) == pytest.approx(10.9)
-    assert analytic_variance(NoiseSpec("mixture", 0.9, 100.0, normalize_to_unit=True)) == 1.0
+    assert analytic_variance(NoiseSpec("mixture", 0.9, 100.0, normalize=True)) == 1.0
 
 
 def test_moment_report_two_draws_smoke():

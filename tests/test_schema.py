@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ddpm1d import schema
+from ddpm1d.diffusion import SamplerOptions
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig
 from ddpm1d.noise import FAMILIES, NoiseSpec
@@ -37,47 +40,56 @@ def plausible(cls, f):
     return st.floats(default / 2, default).map(lambda x: int(x) if x.is_integer() else x)
 
 
-def near_misses(default):
+def edges(bound):
+    """A bound and its neighbours on either side: the next float, or the next
+    integer."""
+    if isinstance(bound, float):
+        return [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    return [bound, bound - 1, bound + 1]
+
+
+def near_misses(default, metadata):
     """Values of the wrong type for a field with this default, each of which a
-    coercing reader would accept."""
+    coercing reader would accept, and the edges of the field's bounds."""
+    bounds = [x for op in (">=", "<=", ">") if op in metadata for x in edges(metadata[op])]
     if isinstance(default, bool):
         return [int(default), json.dumps(default)]
     if isinstance(default, int):
-        return [True, str(default), default + 0.5]
+        return [True, str(default), default + 0.5] + bounds
     if isinstance(default, float):
-        return [True, str(default), 10**400]
+        return [True, str(default), 10**400] + bounds
     if isinstance(default, NoiseSpec):
         return [default.family, [], 5, default.to_dict()]
     return [None]
 
 
 @st.composite
-def with_junk(draw, valid, defaults):
+def with_junk(draw, valid, misses):
     """A valid-looking object, half of the time with a near miss or junk under
     one schema or unknown key."""
     d = draw(valid)
     if draw(st.booleans()):
-        key = draw(st.sampled_from(sorted(defaults)))
-        misses = st.sampled_from(near_misses(defaults[key]))
-        d[key] = draw(st.one_of(misses, misses, junk))
+        key = draw(st.sampled_from(sorted(misses)))
+        near = st.sampled_from(misses[key])
+        d[key] = draw(st.one_of(near, near, junk))
     return d
 
 
-def objects(cls, nested, unknown, required=(), name=lambda f: f.metadata.get("key", f.name)):
+def objects(cls, nested, unknown, required=()):
     fields = dataclasses.fields(cls)
-    values = {name(f): nested if f.name == "noise" else plausible(cls, f) for f in fields}
+    values = {f.name: nested if f.name == "noise" else plausible(cls, f) for f in fields}
     valid = st.fixed_dictionaries({k: values.pop(k) for k in required}, optional=values)
-    defaults = {name(f): getattr(cls(), f.name) for f in fields} | dict.fromkeys(unknown)
-    return with_junk(valid, defaults)
+    misses = {f.name: near_misses(getattr(cls(), f.name), f.metadata) for f in fields}
+    return with_junk(valid, misses | dict.fromkeys(unknown, [None]))
 
 
 noise_objects = objects(NoiseSpec, None, ["spread"], required=["family"])
 noise_specs = st.builds(NoiseSpec, st.sampled_from(FAMILIES), st.floats(0.0, 1.0),
                         st.floats(0.01, 1000.0), st.booleans())
-config_objects = objects(ExperimentConfig, noise_objects, ["momentum", "reverse_noise_policy"])
+config_objects = objects(ExperimentConfig, noise_objects, ["momentum"])
 # both always given, so a mixture passed with normalize_mixture is common
 config_keywords = objects(ExperimentConfig, noise_specs, [],
-                          required=["noise", "normalize_mixture"], name=lambda f: f.name)
+                          required=["noise", "normalize_mixture"])
 
 
 def echoes(given_value, echoed):
@@ -135,3 +147,12 @@ def test_readme_configuration_block_is_the_defaults():
     block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     assert ExperimentConfig.from_dict(block) == ExperimentConfig()
     assert set(block) == set(ExperimentConfig().to_dict())
+
+
+def test_every_field_rule_is_one_the_schema_reads():
+    # a misspelt bound, such as ">=0" or "min", would otherwise check nothing
+    read = {"choices", *schema._BOUNDS}
+    assert read == {"choices", ">=", "<=", ">"}
+    for cls in (ExperimentConfig, NoiseSpec, SamplerOptions):
+        for f in dataclasses.fields(cls):
+            assert set(f.metadata) <= read, (cls.__name__, f.name)
