@@ -16,7 +16,6 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .diffusion import SIGMA_MODES
 from .errors import ConfigError, DivergenceError
 from .experiment import (
     ERROR_METRICS,
@@ -149,7 +148,6 @@ def _build_parser() -> _Parser:
                      help="rescale mixture noise to unit variance")
     run.add_argument("--reverse-noise", choices=REVERSE_NOISE_POLICIES,
                      help="distribution of reverse-step and init noise")
-    run.add_argument("--sigma-mode", choices=SIGMA_MODES)
     run.add_argument("--dump-weights", metavar="PATH",
                      help="write trial 0 weights of the first distribution as flat JSON")
     run.add_argument("--quiet", action="store_true", help="suppress per-trial progress")
@@ -188,6 +186,10 @@ def _cmd_selftest() -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
+    # write_csv creates --out only after every trial has run, so check it first
+    out = Path(args.out).absolute()
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ConfigError(f"--out {args.out} is not a directory and cannot become one")
     if args.experiment == "table1":
         distributions = table1_distributions()
     elif args.experiment == "table2":

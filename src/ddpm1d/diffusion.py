@@ -1,6 +1,6 @@
-"""Forward corruption, the DDPM ancestral reverse sampler, and the exact
-noise-prediction oracle that exists because the data distribution is a point
-mass.
+"""Forward corruption, the DDPM ancestral reverse sampler with step variance
+sigma_t^2 = beta_t, and the exact noise-prediction oracle that exists because
+the data distribution is a point mass.
 
 A predictor is any callable ``pred(x_t, t) -> eps_hat`` where ``x_t`` is a
 float64 ndarray of chain states, ``eps_hat`` an ndarray of the same shape, and
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import schema
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .mlp import forward_batch
 from .noise import NoiseSpec
 from .prng import RngStream
@@ -35,7 +35,7 @@ from .schedule import Schedule
 
 Predictor = Callable[[np.ndarray, int], np.ndarray]
 
-SIGMA_MODES = ("beta", "beta_tilde")
+SIGMA_MODES = ("beta",)
 
 # a state is diverged when |x_t| <= DIVERGENCE_LIMIT fails: beyond it, or NaN
 DIVERGENCE_LIMIT = 1e6
@@ -43,7 +43,7 @@ DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class SamplerOptions:
-    """The reverse chain's noise (x_T and every noisy step) and step variance."""
+    """The reverse chain's noise (x_T and every noisy step); sigma_mode is only "beta"."""
 
     noise: NoiseSpec
     sigma_mode: str = field(default="beta", metadata={"choices": SIGMA_MODES})
@@ -93,17 +93,6 @@ def mlp_predictor(params: np.ndarray, T: int) -> Predictor:
     return predict
 
 
-def sigma_sq(s: Schedule, mode: str) -> np.ndarray:
-    """Per-step reverse noise variance: beta_t, or the posterior beta-tilde_t,
-    where alpha_bar_0 = 1 makes beta-tilde_1 = 0."""
-    if mode == "beta":
-        return s.beta
-    if mode == "beta_tilde":
-        alpha_bar_prev = np.concatenate(([1.0], s.alpha_bar[:-1]))
-        return s.beta * (1.0 - alpha_bar_prev) / (1.0 - s.alpha_bar)
-    raise ConfigError(f"unknown sigma_mode {mode!r}; expected one of {SIGMA_MODES}")
-
-
 def reverse_mean(pred: Predictor, x_t, t: int, s: Schedule):
     """Deterministic part of the ancestral step; broadcasts over array x_t."""
     i = s.index(t)
@@ -123,7 +112,7 @@ def generate_block(
 
     Returns ``(x0_hats, diverged_mask)``.
     """
-    sigma = np.sqrt(sigma_sq(s, opts.sigma_mode))
+    sigma = np.sqrt(s.beta)
     x = noise_mod.sample_block(opts.noise, n, g)
     alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):

@@ -45,7 +45,7 @@ class ExperimentConfig:
     x0: float = 7.0
     beta_start: float = 1e-4
     beta_end: float = 0.02
-    steps: int = 500
+    steps: int = field(default=500, metadata={">=": 1})
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     epochs: int = field(default=3000, metadata={">=": 0})
     samples_per_epoch: int = field(default=1000, metadata={">=": 1})

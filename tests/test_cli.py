@@ -211,8 +211,7 @@ def test_cli_seed_flag_changes_results(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, name",
-    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise"),
-     ("--sigma-mode", "sigma_mode")],
+    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise")],
 )
 def test_flag_choices_come_from_the_schema(flag, name):
     parser = _build_parser()
@@ -226,6 +225,27 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["train"]) == 1
+
+def test_removed_sigma_mode_flag_is_usage_error(tmp_path, capsys):
+    config = write_tiny_config(tmp_path, trials=1)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--sigma-mode", "beta", "--out", str(out_dir)]
+    assert main([*argv, "--quiet"]) == 1
+    assert "unrecognized arguments: --sigma-mode" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["existing-file", "path-under-file"])
+def test_out_that_cannot_be_a_directory_fails_before_any_trial(
+    tmp_path, capsys, monkeypatch, under_file
+):
+    monkeypatch.setattr("ddpm1d.cli.run_suite", lambda *a, **k: pytest.fail("a trial ran"))
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "run1" if under_file else blocker
+    config = write_tiny_config(tmp_path)
+    assert main(["run", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 1
+    assert f"config error: --out {out_dir} is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
 
 def test_bad_config_exit_code(tmp_path, capsys):
     path = write_tiny_config(tmp_path, warmup=3)
@@ -250,6 +270,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ({"noise": 5}, "noise must be a JSON object"),
         ({"activation": "tanh"}, "activation"),
         ({"optimizer": "sgd"}, "optimizer"),
+        ({"sigma_mode": "beta_tilde"}, "config key 'sigma_mode'"),
+        ({"steps": 0}, "config key 'steps' must be >= 1, got 0"),
         ({"epochs": -1}, "config key 'epochs' must be >= 0, got -1"),
         ({"samples_per_epoch": 0}, "config key 'samples_per_epoch' must be >= 1, got 0"),
         ({"batch_size": 0}, "config key 'batch_size' must be >= 1, got 0"),
@@ -267,6 +289,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ids=["bool-string", "normalize-string", "fractional-int", "lr-nan", "lr-inf",
          "big-variance-nan", "big-variance-inf", "lr-string", "x0-bool", "mix-prob-bool",
          "noise-string", "noise-list", "noise-number", "activation-tanh", "optimizer-sgd",
+         "sigma-beta-tilde", "steps-zero",
          "epochs-negative", "samples-zero", "batch-zero", "lr-zero", "trials-zero",
          "gens-zero", "seed-negative", "mix-prob-below", "mix-prob-above",
          "big-variance-zero"],

@@ -12,7 +12,6 @@ from ddpm1d.diffusion import (
     oracle_predictor,
     q_sample_block,
     reverse_mean,
-    sigma_sq,
 )
 from ddpm1d.errors import ConfigError, DivergenceError
 from ddpm1d.mlp import forward_batch, init_params
@@ -91,19 +90,18 @@ def test_oracle_zero_at_noiseless_point(sched):
         assert pred(q_sample(X0, t, sched, 0.0), t) == 0.0
 
 
-def test_sigma_modes(sched):
-    beta = sigma_sq(sched, "beta")
-    assert beta.shape == (sched.T,)
-    assert np.array_equal(beta, sched.beta)
-    # beta-tilde vanishes at t=1 because alpha_bar_0 = 1
-    tilde = sigma_sq(sched, "beta_tilde")
-    assert tilde.shape == (sched.T,)
-    assert tilde[0] == 0.0
-    ab = [1.0] + list(sched.alpha_bar)  # ab[t] is alpha_bar_t, 1-based
-    for t in range(1, sched.T + 1):
-        assert tilde[t - 1] == sched.beta[t - 1] * (1.0 - ab[t - 1]) / (1.0 - ab[t])
-    with pytest.raises(ConfigError):
-        sigma_sq(sched, "learned")
+def test_step_noise_has_variance_beta():
+    # x_1 = x_T / sqrt(alpha_2) + sqrt(beta_2) z_2, x_0 = x_1 / sqrt(alpha_1) + sqrt(beta_1) z_1;
+    # the posterior variance beta-tilde would drop z_1, since beta-tilde_1 = 0
+    null = lambda x, t: 0.0
+    s2 = build_linear(0.1, 0.3, 2)
+    opts = gaussian_options(final_step_noiseless=False)
+    x0_hats, diverged = generate_block(null, 5, s2, opts, seed_stream(0, 0))
+    g = seed_stream(0, 0)
+    x_T, z2, z1 = g.gaussians(5), g.gaussians(5), g.gaussians(5)
+    x1 = x_T / np.sqrt(s2.alpha[1]) + np.sqrt(s2.beta[1]) * z2
+    assert np.array_equal(x0_hats, x1 / np.sqrt(s2.alpha[0]) + np.sqrt(s2.beta[0]) * z1)
+    assert not diverged.any()
 
 
 def test_reverse_mean_with_null_predictor(sched):
@@ -244,3 +242,5 @@ def test_sampler_options_validation():
     g = NoiseSpec("gaussian")
     with pytest.raises(ConfigError):
         SamplerOptions(g, sigma_mode="fixed")
+    with pytest.raises(ConfigError):
+        SamplerOptions(g, sigma_mode="beta_tilde")

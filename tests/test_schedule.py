@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ddpm1d.diffusion import reverse_mean, sigma_sq
+from ddpm1d.diffusion import reverse_mean
 from ddpm1d.errors import ConfigError
 from ddpm1d.schedule import build_linear, retention
 
@@ -57,11 +57,6 @@ def test_single_step_schedule():
     assert s.alpha_bar[0] == 0.5
     assert s.beta[0] == 0.5
     assert s.beta.shape == s.alpha.shape == s.alpha_bar.shape == (1,)
-
-
-def test_alpha_bar_at_zero_is_one(paper_schedule):
-    # the one place alpha_bar_0 enters: beta-tilde_1 = beta_1 (1 - 1) / (1 - alpha_bar_1)
-    assert sigma_sq(paper_schedule, "beta_tilde")[0] == 0.0
 
 
 def test_out_of_range_step_raises(paper_schedule):
