@@ -127,6 +127,14 @@ def _dump_weights(run: DistributionRun, path: str) -> None:
     Path(path).write_text(json.dumps(list(run.first_trial_params)) + "\n")
 
 
+def _can_become(path: str, directory: bool) -> bool:
+    """Whether ``path`` is non-empty and is, or creating its parents can make it, a directory
+    (else a file). Outputs are written after the last trial, so _cmd_run asks before the first."""
+    p = Path(path).absolute()
+    nearest = next(q for q in (p, *p.parents) if q.exists())
+    return bool(path) and nearest.is_dir() == (directory or nearest != p)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ddpm1d", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -186,10 +194,10 @@ def _cmd_selftest() -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    # write_csv creates --out only after every trial has run, so check it first
-    out = Path(args.out).absolute()
-    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-        raise ConfigError(f"--out {args.out} is not a directory and cannot become one")
+    for flag, path, kind in (("--out", args.out, "a directory"),
+                             ("--dump-weights", args.dump_weights, "a file")):
+        if path is not None and not _can_become(path, kind == "a directory"):
+            raise ConfigError(f"{flag} {path} is not {kind} and cannot become one")
     if args.experiment == "table1":
         distributions = table1_distributions()
     elif args.experiment == "table2":

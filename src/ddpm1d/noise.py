@@ -5,7 +5,8 @@ Families (all mean zero):
     gaussian   standard normal
     uniform    uniform on [-sqrt(3), sqrt(3)]  (variance exactly 1)
     arcsine    Beta(1/2, 1/2) standardized to variance 1, support [-sqrt(2), sqrt(2)]
-    mixture    Bernoulli(mix_prob) choice between N(0, 1) and N(0, big_variance)
+    mixture    Bernoulli(mix_prob) choice between N(0, 1) and N(0, big_variance),
+               variance p + (1 - p) * big_variance for p = mix_prob
 
 The arcsine family is the bimodal test distribution: among Beta laws (whose
 parameters must be positive) it is the one whose density peaks at the two
@@ -13,8 +14,8 @@ support endpoints, and standardizing Beta(1/2, 1/2) (mean 1/2, variance 1/8)
 gives unit variance on [-sqrt(2), sqrt(2)].
 
 ``sample_block`` draws ``n`` values at once; training, evaluation and
-``moment_report`` all sample through it. The stream layout of one block is
-fixed per family so sequences survive refactors:
+``moment_report`` (mean, variance and excess kurtosis) all sample through it.
+The stream layout of one block is fixed per family so sequences survive refactors:
 
     uniform / arcsine: n uniforms, one per value
     gaussian:          n gaussians (Box-Muller pairs, see the prng module)
@@ -43,8 +44,7 @@ class NoiseSpec:
     """Declarative description of one noise distribution.
 
     ``mix_prob`` and ``big_variance`` only matter for the mixture family;
-    ``normalize`` rescales the mixture to unit variance (the three other
-    families have unit variance by construction).
+    ``normalize`` rescales it to unit variance, which the others have already.
     """
 
     family: str = field(default="gaussian", metadata={"choices": FAMILIES})
@@ -60,26 +60,12 @@ class NoiseSpec:
             return f"mix{self.mix_prob:g}"
         return self.family
 
-    def to_dict(self) -> dict:
-        return schema.to_json(self)
-
     @classmethod
     def from_dict(cls, d) -> "NoiseSpec":
         spec = schema.from_json(cls, d, "noise")
         if "family" not in d:
             raise ConfigError("noise config requires a 'family' key")
         return spec
-
-
-def _mixture_raw_variance(spec: NoiseSpec) -> float:
-    return spec.mix_prob + (1.0 - spec.mix_prob) * spec.big_variance
-
-
-def analytic_variance(spec: NoiseSpec) -> float:
-    """Exact variance of the distribution described by ``spec``."""
-    if spec.family != "mixture" or spec.normalize:
-        return 1.0
-    return _mixture_raw_variance(spec)
 
 
 def sample_block(spec: NoiseSpec, n: int, g: RngStream) -> np.ndarray:
@@ -95,7 +81,7 @@ def sample_block(spec: NoiseSpec, n: int, g: RngStream) -> np.ndarray:
     z = g.gaussians(n)
     z = np.where(narrow, z, z * np.sqrt(spec.big_variance))
     if spec.normalize:
-        z = z / np.sqrt(_mixture_raw_variance(spec))
+        z = z / np.sqrt(spec.mix_prob + (1.0 - spec.mix_prob) * spec.big_variance)
     return z
 
 
@@ -105,7 +91,6 @@ class MomentReport:
 
     mean: float
     variance: float
-    skewness: float
     kurtosis: float
 
 
@@ -118,7 +103,6 @@ def moment_report(spec: NoiseSpec, n: int, g: RngStream) -> MomentReport:
     d = x - mean
     m2 = float((d * d).mean())
     if m2 == 0.0:
-        return MomentReport(mean, 0.0, 0.0, 0.0)
-    m3 = float((d * d * d).mean())
+        return MomentReport(mean, 0.0, 0.0)
     m4 = float((d * d * d * d).mean())
-    return MomentReport(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0)
+    return MomentReport(mean, m2, m4 / (m2 * m2) - 3.0)

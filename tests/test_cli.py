@@ -234,18 +234,28 @@ def test_removed_sigma_mode_flag_is_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --sigma-mode" in capsys.readouterr().err
     assert not out_dir.exists()
 
-@pytest.mark.parametrize("under_file", [False, True], ids=["existing-file", "path-under-file"])
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--out", "results"), ("--out", "results/run1"), ("--out", ""),
+     ("--dump-weights", "results/w.json"), ("--dump-weights", "weights"), ("--dump-weights", "")],
+    ids=["existing-file", "path-under-file", "empty-out",
+         "weights-under-file", "weights-existing-directory", "empty-weights"],
+)
 def test_out_that_cannot_be_a_directory_fails_before_any_trial(
-    tmp_path, capsys, monkeypatch, under_file
+    tmp_path, capsys, monkeypatch, flag, name
 ):
     monkeypatch.setattr("ddpm1d.cli.run_suite", lambda *a, **k: pytest.fail("a trial ran"))
     blocker = tmp_path / "results"
     blocker.write_text("not a directory\n")
-    out_dir = blocker / "run1" if under_file else blocker
+    (tmp_path / "weights").mkdir()
+    path = str(tmp_path / name) if name else ""
+    paths = {"--out": str(tmp_path / "out"), flag: path}
     config = write_tiny_config(tmp_path)
-    assert main(["run", "--config", str(config), "--out", str(out_dir), "--quiet"]) == 1
-    assert f"config error: --out {out_dir} is not a directory" in capsys.readouterr().err
+    argv = ["run", "--config", str(config), *(x for kv in paths.items() for x in kv), "--quiet"]
+    assert main(argv) == 1
+    assert f"config error: {flag} {path} is not a" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 def test_bad_config_exit_code(tmp_path, capsys):
     path = write_tiny_config(tmp_path, warmup=3)

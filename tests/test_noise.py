@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddpm1d import schema
 from ddpm1d.errors import ConfigError
-from ddpm1d.noise import (
-    NoiseSpec,
-    analytic_variance,
-    moment_report,
-    sample_block,
-)
+from ddpm1d.noise import NoiseSpec, moment_report, sample_block
 from ddpm1d.prng import seed_stream
 
 SQRT2 = np.sqrt(2.0)
@@ -36,6 +32,12 @@ def test_unit_family_moments_1e6(family):
 def test_gaussian_excess_kurtosis_near_zero():
     rep = moment_report(NoiseSpec("gaussian"), 1_000_000, seed_stream(23, 1))
     assert abs(rep.kurtosis) < 0.05
+
+
+def test_uniform_excess_kurtosis():
+    rep = moment_report(NoiseSpec("uniform"), 1_000_000, seed_stream(29, 1))
+    # a uniform law's excess kurtosis is -6/5
+    assert -1.25 < rep.kurtosis < -1.15
 
 
 def test_arcsine_mean_variance_kurtosis():
@@ -66,20 +68,9 @@ def test_arcsine_bimodal_outer_deciles():
         assert counts[9] > middle
 
 
-def test_analytic_variance_unit_families():
-    for family in ("gaussian", "uniform", "arcsine"):
-        assert analytic_variance(NoiseSpec(family)) == 1.0
-
-
-def test_analytic_variance_mixture():
-    assert analytic_variance(NoiseSpec("mixture", 0.5, 100.0)) == 50.5
-    assert analytic_variance(NoiseSpec("mixture", 0.9, 100.0)) == pytest.approx(10.9)
-    assert analytic_variance(NoiseSpec("mixture", 0.9, 100.0, normalize=True)) == 1.0
-
-
 def test_moment_report_two_draws_smoke():
     rep = moment_report(NoiseSpec("gaussian"), 2, seed_stream(0, 0))
-    assert np.isfinite([rep.mean, rep.variance, rep.skewness, rep.kurtosis]).all()
+    assert np.isfinite([rep.mean, rep.variance, rep.kurtosis]).all()
     assert rep.variance >= 0.0
 
 
@@ -119,20 +110,23 @@ def test_scalar_draw_accounting():
 
 
 def test_mixture_block_layout_selectors_then_gaussians():
-    spec = NoiseSpec("mixture", mix_prob=0.9, big_variance=100.0)
-    g = seed_stream(17, 0)
-    block = sample_block(spec, 10, g)
-    # reproduce by hand from a fresh stream
-    h = seed_stream(17, 0)
-    narrow = h.uniforms(10) < 0.9
-    z = h.gaussians(10)
-    expected = np.where(narrow, z, z * np.sqrt(100.0))
-    assert np.array_equal(block, expected)
+    cases = [(0.9, 100.0, False), (0.9, 100.0, True), (0.5, 100.0, True), (0.3, 2.5, True)]
+    for p, bv, normalize in cases:
+        block = sample_block(NoiseSpec("mixture", p, bv, normalize), 10, seed_stream(17, 0))
+        # reproduce by hand from a fresh stream
+        h = seed_stream(17, 0)
+        narrow = h.uniforms(10) < p
+        z = h.gaussians(10)
+        expected = np.where(narrow, z, z * np.sqrt(bv))
+        if normalize:
+            # in the sampler's order: 0.9 + 0.1 * 100.0 is 10.9,
+            # but p + (1 - p) * bv is 10.899999999999999
+            expected = expected / np.sqrt(p + (1.0 - p) * bv)
+        assert np.array_equal(block, expected), (p, bv, normalize)
 
 
 def test_mixture_prob_one_degenerates_to_standard_normal():
     spec = NoiseSpec("mixture", mix_prob=1.0, big_variance=100.0)
-    assert analytic_variance(spec) == 1.0
     x = sample_block(spec, 200_000, seed_stream(6, 0))
     assert abs(x.var() - 1.0) < 0.02
     # the wide component is never selected
@@ -191,14 +185,14 @@ def test_from_dict_rejects_unknown_keys():
 )
 def test_mixture_dict_roundtrip(p, bv, norm):
     spec = NoiseSpec("mixture", p, bv, norm)
-    assert NoiseSpec.from_dict(spec.to_dict()) == spec
+    assert NoiseSpec.from_dict(schema.to_json(spec)) == spec
 
 
 def test_plain_family_dict_roundtrip():
     for family in ("gaussian", "uniform", "arcsine"):
         assert NoiseSpec.from_dict({"family": family}) == NoiseSpec(family)
         spec = NoiseSpec(family, mix_prob=0.3)
-        assert NoiseSpec.from_dict(spec.to_dict()) == spec
+        assert NoiseSpec.from_dict(schema.to_json(spec)) == spec
 
 
 def test_labels():

@@ -59,7 +59,7 @@ def near_misses(default, metadata):
     if isinstance(default, float):
         return [True, str(default), 10**400] + bounds
     if isinstance(default, NoiseSpec):
-        return [default.family, [], 5, default.to_dict()]
+        return [default.family, [], 5, schema.to_json(default)]
     return [None]
 
 
