@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""In-process timings of the network layer and the two phases of a trial.
+
+    PYTHONPATH=src python scripts/bench_layers.py [--tiny]
+
+Each entry times its call in blocks of ``calls_per_block`` calls after one
+warm-up block, on fixed inputs in this one process, and reports the median,
+first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
+
+- ``forward_batch``: ``mlp.forward_batch`` on 2000 rows (one reverse step of
+  the ``sample`` benchmark workload);
+- ``loss_and_grad_arrays``: ``mlp.loss_and_grad_arrays`` on one 64-row batch;
+- ``adam_step``: ``mlp.adam_step``;
+- ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
+  config, divided by 10, so one tenth of its set-up is included;
+- ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
+  config (2000 chains of 500 steps) on weights trained there for 100 epochs.
+
+The output is one JSON object keyed by entry. ``--tiny`` shrinks every input,
+and the repeats to 3, for a smoke run of a few milliseconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+from ddpm1d import mlp
+from ddpm1d.experiment import ExperimentConfig, evaluate_trial, train_trial
+from ddpm1d.prng import seed_stream
+
+
+def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str) -> dict:
+    """Median and quartiles of ``fn``'s time per call over ``repeats`` blocks of
+    ``calls`` calls, after one warm-up block."""
+    per_call = []
+    for _ in range(repeats + 1):
+        t0 = time.perf_counter_ns()
+        for _ in range(calls):
+            fn()
+        per_call.append((time.perf_counter_ns() - t0) / calls / unit_ns)
+    q1, median, q3 = statistics.quantiles(per_call[1:], n=4, method="inclusive")
+    return {"unit": unit, "median": median, "q1": q1, "q3": q3, "repeats": repeats,
+            "calls_per_block": calls, "inputs": inputs}
+
+
+def measure(tiny: bool) -> dict:
+    rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
+    repeats = 3 if tiny else 15
+    calls = 5 if tiny else 200  # per block, for the microsecond-scale entries
+    g = seed_stream(0, 1)
+    theta = mlp.init_params(seed_stream(0, 0))
+    X = np.column_stack([g.gaussians(rows) * 3.0, g.uniforms(rows)])
+    y = g.gaussians(rows)
+    Xb, yb = X[:batch], y[:batch]
+    _, grad = mlp.loss_and_grad_arrays(theta, Xb, yb)
+    state = mlp.AdamState.zeros()
+    train_cfg = ExperimentConfig(epochs=epochs, samples_per_epoch=16 * batch if tiny else 1000,
+                                 batch_size=batch, steps=steps, trials=1)
+    # the sample workload's config (perfbench/workloads/sample.json), gaussian family
+    eval_cfg = ExperimentConfig(epochs=2 if tiny else 100, gens_per_trial=chains, steps=steps,
+                                trials=1)
+    trained, _ = train_trial(eval_cfg, 0)
+    us, ms = 1e3, 1e6
+    return {
+        "forward_batch": timed(lambda: mlp.forward_batch(theta, X), repeats, calls // 10 or 1,
+                               us, {"rows": rows}, "us"),
+        "loss_and_grad_arrays": timed(lambda: mlp.loss_and_grad_arrays(theta, Xb, yb), repeats,
+                                      calls, us, {"rows": batch}, "us"),
+        "adam_step": timed(lambda: mlp.adam_step(theta, state, grad, 1e-3), repeats, calls, us,
+                           {"params": mlp.N_PARAMS}, "us"),
+        "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
+                             {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
+                              "batch_size": batch}, "ms"),
+        "evaluate_trial": timed(lambda: evaluate_trial(trained, eval_cfg, 0), repeats, 1, ms,
+                                {"chains": chains, "steps": steps, "family": "gaussian"}, "ms"),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tiny", action="store_true", help="tiny inputs, for a smoke run")
+    args = parser.parse_args(argv)
+    print(json.dumps(measure(args.tiny), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

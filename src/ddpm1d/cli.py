@@ -15,7 +15,7 @@ import time
 import traceback
 from pathlib import Path
 
-from . import __version__
+from . import __version__, kernel
 from .errors import ConfigError, DivergenceError
 from .experiment import (
     ERROR_METRICS,
@@ -106,11 +106,13 @@ def write_manifest(
     experiment: str,
 ) -> Path:
     """``config_echo`` fed back through ``--config``, with ``--experiment``
-    set to ``experiment``, reruns the same trials."""
+    set to ``experiment``, reruns the same trials; ``kernel`` names the
+    network kernel's source, compiler and flags."""
     manifest = {
         "config_echo": cfg.to_dict(),
         "experiment": experiment,
         "artifact_version": __version__,
+        "kernel": kernel.provenance(),
         "wall_time_seconds": wall_time,
         "worker_count": workers,
     }

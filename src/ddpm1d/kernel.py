@@ -1,0 +1,108 @@
+"""Builds and loads ``_kernel.c``, the compiled network arithmetic behind
+``mlp``.
+
+The extension is compiled with ``gcc`` against the running Python's headers
+the first time it is needed, not on import. It is cached in a private
+per-user directory, ``ddpm1d-kernel-<uid>`` under the system temp directory.
+The cached file is named by the sha256 of the source, the compiler's version,
+the flags and the extension suffix, so an edited source, another compiler or
+another Python gets a build of its own. A build writes a temporary name and
+publishes it with ``os.replace``, so processes that build at once do not race.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from functools import cache
+from pathlib import Path
+from types import ModuleType
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CC = "gcc"
+# no fused multiply-add: the bits must not depend on -O level or -march
+FLAGS = ("-O2", "-ffp-contract=off")
+
+
+def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] = FLAGS) -> ModuleType:
+    """The compiled kernel, built with ``CC`` and ``flags`` into ``cache_dir``
+    (default: the cache described above) unless a build is already there.
+
+    A missing compiler or ``Python.h`` raises FileNotFoundError naming it."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    parts = [SOURCE.read_bytes(), str(compiler_version(CC)).encode(),
+             *(f.encode() for f in flags), suffix.encode()]
+    digest = hashlib.sha256(b"\0".join(parts)).hexdigest()
+    directory = Path(cache_dir if cache_dir is not None
+                     else Path(tempfile.gettempdir()) / f"ddpm1d-kernel-{os.getuid()}")
+    if not _private_and_writable(directory):
+        raise OSError(f"cannot build the network kernel: {directory} is not a private, "
+                      "writable directory")
+    path = directory / f"_kernel.{digest[:16]}{suffix}"
+    if not path.is_file():
+        _build(path, flags)
+    spec = importlib.util.spec_from_file_location("ddpm1d._kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@cache
+def compiler_version(cc: str) -> str | None:
+    """The first line of ``cc --version``, or None if that fails."""
+    try:
+        return subprocess.run([cc, "--version"], capture_output=True, text=True,
+                              timeout=30).stdout.splitlines()[0]
+    except (OSError, subprocess.SubprocessError, IndexError):
+        return None
+
+
+def _private_and_writable(d: Path) -> bool:
+    """Whether ``d`` is, or can be made, a directory that this user owns and
+    may write and that not everyone may write: a build found there is loaded."""
+    try:
+        d.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = d.stat()
+    except OSError:
+        return False
+    return st.st_uid == os.getuid() and not st.st_mode & 0o002 and os.access(d, os.W_OK)
+
+
+def _build(path: Path, flags: tuple[str, ...]) -> None:
+    if shutil.which(CC) is None:
+        raise FileNotFoundError(f"cannot build the network kernel: C compiler {CC!r} not found")
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise FileNotFoundError(
+            f"cannot build the network kernel: Python.h not found in {include} "
+            "(install the Python development headers)"
+        )
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [CC, *flags, "-shared", "-fPIC", "-I", include, str(SOURCE), "-o", tmp, "-lm"],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise OSError(f"cannot build the network kernel: {CC} failed:\n{proc.stderr}")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def provenance() -> dict:
+    """What the kernel's bits depend on: its source, compiler and flags, the
+    same values that name its cached build."""
+    return {
+        "source_sha256": hashlib.sha256(SOURCE.read_bytes()).hexdigest(),
+        "compiler": compiler_version(CC),
+        "flags": list(FLAGS),
+    }

@@ -1,18 +1,22 @@
 """Hand-rolled noise-prediction network: 2 inputs, 32 hidden units, 1 output.
 
 The hidden layer is ReLU and the optimizer is Adam. Exact analytic gradients
-and the Adam step are written out by hand; there is no autodiff anywhere.
-The parameters are one flat (129,) float64 vector theta in [W1 rows, b1, W2,
-b2] order, the weight-dump order. Nothing wraps it: each function slices it
-directly, and init_params and adam_step return a fresh one.
+and the Adam step are written out by hand, in C (``_kernel.c``, built on first
+use by the ``kernel`` module); there is no autodiff anywhere. The parameters
+are one flat (129,) float64 vector theta in [W1 rows, b1, W2, b2] order, the
+weight-dump order. Nothing wraps it, and init_params and adam_step return a
+fresh one. The kernel reads C-contiguous float64 buffers; array arguments
+are converted to that, with no copy when they already are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
+from . import kernel
 from .prng import RngStream
 
 N_IN = 2
@@ -20,9 +24,7 @@ HIDDEN = 32
 N_PARAMS = HIDDEN * N_IN + HIDDEN + HIDDEN + 1  # 129
 
 _W1 = slice(0, HIDDEN * N_IN)
-_B1 = slice(HIDDEN * N_IN, HIDDEN * N_IN + HIDDEN)
 _W2 = slice(HIDDEN * N_IN + HIDDEN, HIDDEN * N_IN + 2 * HIDDEN)
-_B2 = N_PARAMS - 1
 
 # draws consumed by init_params; the evaluation stream skips exactly this many
 INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
@@ -30,6 +32,9 @@ INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# built or loaded on the first call, so that importing mlp compiles nothing
+_kernel = cache(kernel.load)
 
 
 @dataclass
@@ -73,8 +78,10 @@ def init_params(g: RngStream) -> np.ndarray:
 
 def forward_batch(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
-    h = np.maximum(X @ theta[_W1].reshape(HIDDEN, N_IN).T + theta[_B1], 0.0)
-    return h @ theta[_W2] + theta[_B2]
+    X = _f64(X)
+    out = np.empty(len(X))
+    _kernel().forward(_f64(theta), X, out)
+    return out
 
 
 def loss_and_grad_arrays(
@@ -82,19 +89,8 @@ def loss_and_grad_arrays(
 ) -> tuple[float, np.ndarray]:
     """Mean squared error and its exact gradient in flat parameter layout; the
     ReLU subgradient at 0 is 0."""
-    n = len(y)
-    z1 = X @ theta[_W1].reshape(HIDDEN, N_IN).T + theta[_B1]
-    h = np.maximum(z1, 0.0)
-    err = h @ theta[_W2] + theta[_B2] - y
-    loss = float(err @ err) / n
-    dout = (2.0 / n) * err
     grad = np.empty(N_PARAMS)
-    grad[_W2] = dout @ h
-    grad[_B2] = dout.sum()
-    dz1 = np.outer(dout, theta[_W2]) * (z1 > 0.0).astype(np.float64)
-    grad[_W1] = (dz1.T @ X).reshape(HIDDEN * N_IN)
-    grad[_B1] = dz1.sum(axis=0)
-    return loss, grad
+    return _kernel().loss_and_grad(_f64(theta), _f64(X), _f64(y), grad), grad
 
 
 def adam_step(
@@ -104,11 +100,16 @@ def adam_step(
     if lr <= 0.0:
         raise ValueError(f"learning rate must be > 0, got {lr}")
     t = s.step_count + 1
-    m = ADAM_BETA1 * s.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (grads * grads)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m, v, t)
+    new = AdamState(np.empty(N_PARAMS), np.empty(N_PARAMS), t)
+    theta_new = np.empty(N_PARAMS)
+    _kernel().adam(_f64(theta), _f64(s.m), _f64(s.v), _f64(grads), lr, ADAM_BETA1, ADAM_BETA2,
+                   ADAM_EPS, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t, theta_new, new.m, new.v)
+    return theta_new, new
+
+
+def _f64(a) -> np.ndarray:
+    # what the kernel reads; no copy when ``a`` already is one
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def finite_diff_check(theta: np.ndarray, batch: TrainBatch, h: float = 1e-6) -> float:

@@ -45,12 +45,12 @@ CASES.append(("sample", 0, 2))
 
 # sha256 of ``--dump-weights`` output (gaussian trial 0 after 100 epochs)
 WEIGHTS_SHA256 = {
-    ("sample", 0): "b1abd22e2541fbb1d1893e71ffb901a569aaf217468edf0e27cde65adf403c60",
+    ("sample", 0): "07b41f24b996f84ab25f002047c8c51e62b6df742b53ff03a3e7c81b4d42df4a",
 }
 
 # sha256 of x0_hats.tobytes() + mask.tobytes() from generate_block (sample
 # workload, seed 0, mix0.5 trial 0: 2000 chains after 100 epochs)
-SAMPLER_SHA256 = "db15f125c5348b61b91b58dc086ce96db08aed96d2b752f8dcd57f9ad2f0756f"
+SAMPLER_SHA256 = "f899652b22494c16670d77f5a6b94351756825ae0e179485025672bc52a652ea"
 
 
 def sha256(path: Path) -> str:

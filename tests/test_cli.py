@@ -150,6 +150,9 @@ def test_run_single_tiny(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["worker_count"] >= 1
     assert manifest["artifact_version"]
+    assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags"}
+    assert len(manifest["kernel"]["source_sha256"]) == 64
+    assert manifest["kernel"]["flags"] == ["-O2", "-ffp-contract=off"]
 
 def test_manifest_round_trips_to_identical_config(tmp_path):
     config = write_tiny_config(
