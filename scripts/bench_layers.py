@@ -11,6 +11,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   the ``sample`` benchmark workload);
 - ``loss_and_grad_arrays``: ``mlp.loss_and_grad_arrays`` on one 64-row batch;
 - ``adam_step``: ``mlp.adam_step``;
+- ``sample_block.<family>``: ``noise.sample_block`` of 2000 draws (one reverse
+  step's noise in the ``sample`` workload) for gaussian, uniform, arcsine and
+  mix0.5;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
 - ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
@@ -31,6 +34,7 @@ import numpy as np
 
 from ddpm1d import mlp
 from ddpm1d.experiment import ExperimentConfig, evaluate_trial, train_trial
+from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
 
@@ -66,6 +70,12 @@ def measure(tiny: bool) -> dict:
                                 trials=1)
     trained, _ = train_trial(eval_cfg, 0)
     us, ms = 1e3, 1e6
+    families = (NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
+                NoiseSpec("mixture", mix_prob=0.5))
+    noise = {f"sample_block.{spec.label()}":
+             timed(lambda spec=spec: sample_block(spec, rows, g), repeats, calls // 10 or 1,
+                   us, {"draws": rows}, "us")
+             for spec in families}
     return {
         "forward_batch": timed(lambda: mlp.forward_batch(theta, X), repeats, calls // 10 or 1,
                                us, {"rows": rows}, "us"),
@@ -73,6 +83,7 @@ def measure(tiny: bool) -> dict:
                                       calls, us, {"rows": batch}, "us"),
         "adam_step": timed(lambda: mlp.adam_step(theta, state, grad, 1e-3), repeats, calls, us,
                            {"params": mlp.N_PARAMS}, "us"),
+        **noise,
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
                               "batch_size": batch}, "ms"),

@@ -85,9 +85,14 @@ def oracle_predictor(x0: float, s: Schedule) -> Predictor:
 
 def mlp_predictor(params: np.ndarray, T: int) -> Predictor:
     """Wrap trained weights as a predictor with t_norm = t / T."""
+    X = np.empty((0, 2))  # the network's input rows, reused while n stays the same
 
     def predict(x_t: np.ndarray, t: int) -> np.ndarray:
-        X = np.column_stack([x_t, np.full(len(x_t), t / T)])
+        nonlocal X
+        if len(X) != len(x_t):
+            X = np.empty((len(x_t), 2))
+        X[:, 0] = x_t
+        X[:, 1] = t / T
         return forward_batch(params, X)
 
     return predict
@@ -117,12 +122,9 @@ def generate_block(
     alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         for t in range(s.T, 0, -1):
-            mean = reverse_mean(pred, x, t, s)
-            if t == 1 and opts.final_step_noiseless:
-                x = mean
-            else:
-                z = noise_mod.sample_block(opts.noise, n, g)
-                x = mean + sigma[t - 1] * z
+            x = reverse_mean(pred, x, t, s)  # a fresh array, so the noise goes in in place
+            if not (t == 1 and opts.final_step_noiseless):
+                x += sigma[t - 1] * noise_mod.sample_block(opts.noise, n, g)
             alive &= np.abs(x) <= DIVERGENCE_LIMIT
     return x, ~alive
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddpm1d.diffusion import (
+    DIVERGENCE_LIMIT,
     SamplerOptions,
     gaussian_options,
     generate_block,
@@ -244,3 +245,55 @@ def test_sampler_options_validation():
         SamplerOptions(g, sigma_mode="fixed")
     with pytest.raises(ConfigError):
         SamplerOptions(g, sigma_mode="beta_tilde")
+
+
+def reference_generate_block(pred, n, s, opts, g):
+    """generate_block as a plain loop: x = mean + sigma * z, a new array per step."""
+    sigma = np.sqrt(s.beta)
+    x = sample_block(opts.noise, n, g)
+    alive = np.abs(x) <= DIVERGENCE_LIMIT
+    with np.errstate(all="ignore"):
+        for t in range(s.T, 0, -1):
+            mean = reverse_mean(pred, x, t, s)
+            if t == 1 and opts.final_step_noiseless:
+                x = mean
+            else:
+                x = mean + sigma[t - 1] * sample_block(opts.noise, n, g)
+            alive &= np.abs(x) <= DIVERGENCE_LIMIT
+    return x, ~alive
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("final_step_noiseless", [True, False])
+@pytest.mark.parametrize("predictor", ["oracle", "mlp"])
+def test_generate_block_matches_the_reference_loop(sched, n, final_step_noiseless, predictor):
+    # one predictor serves both runs, so a reused input buffer cannot leak between them
+    pred = (oracle_predictor(X0, sched) if predictor == "oracle"
+            else mlp_predictor(init_params(seed_stream(5, 0)), sched.T))
+    opts = SamplerOptions(NoiseSpec("mixture", mix_prob=0.5),
+                          final_step_noiseless=final_step_noiseless)
+    x, diverged = generate_block(pred, n, sched, opts, seed_stream(6, n))
+    ref_x, ref_diverged = reference_generate_block(pred, n, sched, opts, seed_stream(6, n))
+    assert x.tobytes() == ref_x.tobytes()
+    assert np.array_equal(diverged, ref_diverged)
+
+
+@pytest.mark.parametrize("returns", ["its own array", "its input", "the caller's array"])
+def test_generate_block_writes_only_into_arrays_it_made(returns):
+    s = build_linear(1e-4, 0.02, 20)
+    inner = mlp_predictor(init_params(seed_stream(5, 0)), s.T)
+    held = np.linspace(-1.0, 1.0, 7)
+    seen = []  # every array a predictor saw or returned, with a copy taken at the time
+
+    def recording(x_t, t):
+        eps = {"its own array": lambda: inner(x_t, t), "its input": lambda: x_t,
+               "the caller's array": lambda: held}[returns]()
+        seen.extend([(x_t, x_t.copy()), (eps, eps.copy())])
+        return eps
+
+    opts = gaussian_options(final_step_noiseless=False)
+    x, _ = generate_block(recording, 7, s, opts, seed_stream(7, 0))
+    assert len(seen) == 2 * s.T
+    assert all(a.tobytes() == copy.tobytes() for a, copy in seen)
+    assert held.tobytes() == np.linspace(-1.0, 1.0, 7).tobytes()
+    assert not any(np.shares_memory(x, a) for a, _ in seen)

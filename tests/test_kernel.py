@@ -5,7 +5,9 @@ The numpy functions below are the network's arithmetic as it stood before the
 kernel: matrix products for the forward pass and the gradient, numpy's
 elementwise Adam. They sum in another order than the kernel, so the forward
 pass, the loss and the gradient agree within 1e-12 relative; the Adam update is
-elementwise in both and agrees bit for bit.
+elementwise in both and agrees bit for bit. ``ordered_forward`` sums in the
+kernel's own order, unit by unit for every row, and the forward pass agrees
+with it bit for bit, up to the sign and payload of a NaN.
 """
 
 import subprocess
@@ -45,6 +47,28 @@ def unpack(theta):
 def numpy_forward(theta, X):
     W1, b1, W2, b2 = unpack(theta)
     return np.maximum(X @ W1.T + b1, 0.0) @ W2 + b2
+
+
+def ordered_forward(theta, X):
+    """The kernel's order: each row sums relu(z_j) * W2_j over j = 0..31 from
+    0.0, z_j being (x * W1[j, 0] + t * W1[j, 1]) + b1_j, then adds b2; the
+    ReLU passes NaN on. Units in Python, rows in numpy."""
+    x, t = X[:, 0], X[:, 1]
+    s = np.zeros(len(X))
+    with np.errstate(all="ignore"):
+        for j in range(HIDDEN):
+            z = (x * theta[N_IN * j] + t * theta[N_IN * j + 1]) + theta[64 + j]
+            s = s + np.where(z <= 0.0, 0.0, z) * theta[96 + j]
+        return s + theta[128]
+
+
+def same_bits(a, b):
+    """Byte equality with every NaN made one NaN. IEEE 754 leaves the sign and
+    payload of a NaN result open: where two NaNs meet, x86 keeps the first
+    operand's, and a compiler may put a commutative operation's operands in
+    either order."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in (a, b))
+    return a.tobytes() == b.tobytes()
 
 
 def numpy_loss_and_grad(theta, X, y):
@@ -98,6 +122,25 @@ def test_kernel_matches_numpy_reference(seed, n):
     ref_loss, ref_grad = numpy_loss_and_grad(theta, X, y)
     assert_close(loss, ref_loss)
     assert_close(grad, ref_grad)
+
+
+# 8 is the kernel's block of rows; 7, 9 and 2001 leave a partial last block
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2000, 2001])
+@pytest.mark.parametrize("where, values", [
+    (None, ()),
+    ("X", (np.nan, np.inf, -np.inf, -0.0)),
+    ("theta", (np.inf, -np.inf, -0.0)),
+    ("theta", (np.nan,)),  # a NaN anywhere in theta makes every output NaN
+], ids=["finite", "X", "theta-inf", "theta-nan"])
+def test_forward_sums_in_the_kernel_order(n, where, values):
+    g = seed_stream(n, 9)
+    theta = random_theta(n % 3)
+    X = np.column_stack([g.gaussians(n) * 3.0, g.uniforms(n)])
+    if where is not None and n > 0:
+        a = X if where == "X" else theta
+        k = a.size // 8 + 1 if where == "X" else len(values)
+        a.flat[np.floor(g.uniforms(k) * a.size).astype(int)] = np.resize(values, k)
+    assert same_bits(forward_batch(theta, X), ordered_forward(theta, X))
 
 
 def test_zero_preactivation_has_zero_subgradient():
@@ -192,6 +235,12 @@ def test_flags_do_not_move_the_bits(tmp_path):
             theta, m, v = out
         thetas.append(theta)
     assert thetas[0].tobytes() == thetas[1].tobytes()
+    # the forward pass at a row count that leaves a partial block at any vector width
+    X, _ = inputs(6, 2001)
+    outs = [np.empty(2001), np.empty(2001)]
+    base.forward(thetas[0], X, outs[0])
+    native.forward(thetas[0], X, outs[1])
+    assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_another_compiler_gets_a_build_of_its_own(tmp_path, monkeypatch):
