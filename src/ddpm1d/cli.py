@@ -29,7 +29,6 @@ from .experiment import (
     table2_distributions,
 )
 from .schedule import retention
-from .selftest import run_selftest
 
 EXPERIMENTS = ("table1", "table2", "single")
 
@@ -168,7 +167,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--beta-end", type=float)
     check.add_argument("--steps", type=int)
 
-    sub.add_parser("selftest", help="run built-in sampler/gradient/oracle checks")
+    sub.add_parser("selftest", help="reproduce five reference trials.csv rows")
     return parser
 
 
@@ -187,11 +186,33 @@ def _cmd_check(args) -> int:
     return 0
 
 
+# (final_loss, gen_error) of trial 0 at epochs=100, base_seed 0, as trials.csv
+# holds them. A change that moves bits on purpose copies them from the FAIL lines.
+SELFTEST_ROWS = {
+    "gaussian": ("0.430298293", "0.899173611"),
+    "uniform": ("0.322427523", "0.680304473"),
+    "arcsine": ("0.31386241", "0.686702831"),
+    "mix0.9": ("1.809225", "0.858957943"),
+    "mix0.5": ("6.70766592", "1.77048746"),
+}
+
+
 def _cmd_selftest() -> int:
-    checks = run_selftest()
-    for c in checks:
-        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    return 0 if all(c.passed for c in checks) else 2
+    """Whether this host reproduces SELFTEST_ROWS, one trial per noise family."""
+    distributions = table1_distributions() + table2_distributions()[1:]
+    runs = run_suite(ExperimentConfig(epochs=100, trials=1), distributions, workers=1)
+    passed = True
+    for run in runs:
+        r = run.results[0]
+        row = (_fmt(r.final_epoch_loss), _fmt(r.gen_error))
+        line = f"{run.label}: final_loss={row[0]} gen_error={row[1]}"
+        ref = SELFTEST_ROWS[run.label]
+        if row == ref:
+            print(f"PASS {line}")
+        else:
+            print(f"FAIL {line} (reference final_loss={ref[0]} gen_error={ref[1]})")
+            passed = False
+    return 0 if passed else 2
 
 
 def _cmd_run(args) -> int:

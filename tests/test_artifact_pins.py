@@ -19,8 +19,9 @@ divergence mask is compared with ``SAMPLER_SHA256``.
 
 A change that moves results on purpose regenerates the references with
 ``perfbench/make_refs.py``, updates ``WEIGHTS_SHA256`` from a ``--dump-weights``
-run and ``SAMPLER_SHA256`` from the sampler case, and bumps
-``artifact_version``; it does not loosen these comparisons.
+run and ``SAMPLER_SHA256`` from the sampler case, refreshes the selftest
+reference rows (``SELFTEST_ROWS`` in ``cli.py``), copied from its FAIL lines,
+and bumps ``artifact_version``; it does not loosen these comparisons.
 """
 
 import hashlib

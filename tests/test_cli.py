@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddpm1d import cli
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
@@ -406,10 +408,48 @@ def test_module_invocation_exit_code():
     assert proc.returncode == 0
     assert "sqrt(alpha_bar[500])" in proc.stdout
 
+SELFTEST_LABELS = ["gaussian", "uniform", "arcsine", "mix0.9", "mix0.5"]
+
+def assert_selftest_passed(proc):
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" final_loss=")[0] for line in lines] == [
+        f"PASS {label}:" for label in SELFTEST_LABELS
+    ]
+
 def test_selftest_all_properties_pass():
     proc = subprocess.run(
         [sys.executable, "-m", "ddpm1d", "selftest"], capture_output=True, text=True
     )
-    assert proc.returncode == 0
-    assert "FAIL" not in proc.stdout
-    assert proc.stdout.count("PASS") >= 6
+    assert_selftest_passed(proc)
+
+def test_selftest_fails_on_a_row_that_differs(monkeypatch, capsys):
+    loss, err = cli.SELFTEST_ROWS["arcsine"]
+    monkeypatch.setitem(cli.SELFTEST_ROWS, "arcsine", ("0", err))
+    assert main(["selftest"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == (f"FAIL arcsine: final_loss={loss} gen_error={err} "
+                        f"(reference final_loss=0 gen_error={err})")
+    assert [line.split(":")[0] for line in lines[:2] + lines[3:]] == [
+        f"PASS {label}" for label in SELFTEST_LABELS if label != "arcsine"
+    ]
+
+def test_selftest_rows_hold_without_avx512_dispatch():
+    """The rows are 9-digit strings, so they must hold where numpy's AVX-512
+    loops, which move low-order bits of the gaussians, are not dispatched."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("x86-64 dispatch targets")
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy does not dispatch X86_V4 on this host")
+    disabled = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    child = ("import sys; from numpy._core._multiarray_umath import __cpu_features__; "
+             "from ddpm1d.cli import main; "
+             "print('X86_V4', __cpu_features__['X86_V4'], file=sys.stderr); "
+             "sys.exit(main(['selftest']))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert "X86_V4 False" in proc.stderr.splitlines()
+    assert_selftest_passed(proc)
