@@ -14,6 +14,10 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
 - ``sample_block.<family>``: ``noise.sample_block`` of 2000 draws (one reverse
   step's noise in the ``sample`` workload) for gaussian, uniform, arcsine and
   mix0.5;
+- ``uniforms`` and ``gaussians``: ``RngStream.uniforms`` and
+  ``RngStream.gaussians`` of 1000 draws (one training epoch's worth);
+- ``timesteps``: an epoch's timesteps, ``floor(u * T) + 1`` as int64 on 1000
+  uniforms drawn once, at the reference T = 500;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
 - ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
@@ -54,6 +58,7 @@ def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str)
 
 def measure(tiny: bool) -> dict:
     rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
+    draws = 20 if tiny else 1000  # one epoch's samples
     repeats = 3 if tiny else 15
     calls = 5 if tiny else 200  # per block, for the microsecond-scale entries
     g = seed_stream(0, 1)
@@ -69,6 +74,7 @@ def measure(tiny: bool) -> dict:
     eval_cfg = ExperimentConfig(epochs=2 if tiny else 100, gens_per_trial=chains, steps=steps,
                                 trials=1)
     trained, _ = train_trial(eval_cfg, 0)
+    u = g.uniforms(draws)
     us, ms = 1e3, 1e6
     families = (NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
                 NoiseSpec("mixture", mix_prob=0.5))
@@ -84,6 +90,11 @@ def measure(tiny: bool) -> dict:
         "adam_step": timed(lambda: mlp.adam_step(theta, state, grad, 1e-3), repeats, calls, us,
                            {"params": mlp.N_PARAMS}, "us"),
         **noise,
+        "uniforms": timed(lambda: g.uniforms(draws), repeats, calls, us, {"draws": draws}, "us"),
+        "gaussians": timed(lambda: g.gaussians(draws), repeats, calls, us, {"draws": draws},
+                           "us"),
+        "timesteps": timed(lambda: np.floor(u * steps).astype(np.int64) + 1, repeats, calls, us,
+                           {"draws": draws, "T": steps}, "us"),
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
                               "batch_size": batch}, "ms"),
