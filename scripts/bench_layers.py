@@ -18,6 +18,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   ``RngStream.gaussians`` of 1000 draws (one training epoch's worth);
 - ``timesteps``: an epoch's timesteps, ``floor(u * T) + 1`` as int64 on 1000
   uniforms drawn once, at the reference T = 500;
+- ``rows``: the kernel's build of an epoch's 1000 (x_t, t / T) training rows
+  from those timesteps and a gaussian noise block, the first part of
+  ``mlp.train_epoch``;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
 - ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
@@ -75,6 +78,9 @@ def measure(tiny: bool) -> dict:
                                 trials=1)
     trained, _ = train_trial(eval_cfg, 0)
     u = g.uniforms(draws)
+    ts, eps = np.floor(u * steps).astype(np.int64) + 1, g.gaussians(draws)
+    out = np.empty((draws, 2))
+    alpha_bar = train_cfg.schedule().alpha_bar
     us, ms = 1e3, 1e6
     families = (NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
                 NoiseSpec("mixture", mix_prob=0.5))
@@ -95,6 +101,8 @@ def measure(tiny: bool) -> dict:
                            "us"),
         "timesteps": timed(lambda: np.floor(u * steps).astype(np.int64) + 1, repeats, calls, us,
                            {"draws": draws, "T": steps}, "us"),
+        "rows": timed(lambda: mlp._kernel().rows(ts, eps, 7.0, alpha_bar, out), repeats, calls,
+                      us, {"rows": draws, "T": steps}, "us"),
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
                               "batch_size": batch}, "ms"),

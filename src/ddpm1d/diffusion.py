@@ -59,15 +59,6 @@ def gaussian_options(
     return SamplerOptions(NoiseSpec("gaussian"), sigma_mode, final_step_noiseless)
 
 
-def q_sample_block(x0: float, ts: np.ndarray, s: Schedule, eps: np.ndarray) -> np.ndarray:
-    """Forward corruption sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps; ``ts`` holds
-    1-based steps."""
-    if ts.min() < 1 or ts.max() > s.T:
-        raise IndexError(f"steps outside 1..{s.T}: [{ts.min()}, {ts.max()}]")
-    ab = s.alpha_bar[ts - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
 def oracle_predictor(x0: float, s: Schedule) -> Predictor:
     """Exact inverse of the forward map for point-mass data at x0.
 

@@ -128,32 +128,22 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     the loss is nan. A non-finite minibatch loss raises DivergenceError whose
     ``step`` is the 1-based epoch.
     """
-    sched = cfg.schedule()
+    alpha_bar = cfg.schedule().alpha_bar
     params = mlp.init_params(init_stream(cfg, trial))
     g = train_stream(cfg, trial)
     state = mlp.AdamState.zeros()
     n = cfg.samples_per_epoch
-    T = cfg.steps
     final_loss = math.nan
-    # overflow during a diverging trial is expected; it is caught via the
-    # finite-loss check and raised as DivergenceError, not a numpy warning
-    with np.errstate(all="ignore"):
-        for epoch in range(1, cfg.epochs + 1):
-            ts = np.floor(g.uniforms(n) * T).astype(np.int64) + 1  # uniform on {1..T}
-            eps = noise_mod.sample_block(cfg.noise, n, g)
-            X = np.column_stack([diffusion.q_sample_block(cfg.x0, ts, sched, eps), ts / T])
-            sq_err = 0.0
-            for lo in range(0, n, cfg.batch_size):
-                Xb = X[lo : lo + cfg.batch_size]
-                yb = eps[lo : lo + cfg.batch_size]
-                loss, grad = mlp.loss_and_grad_arrays(params, Xb, yb)
-                if not math.isfinite(loss):
-                    raise DivergenceError(
-                        f"non-finite training loss in epoch {epoch}", step=epoch
-                    )
-                sq_err += loss * len(yb)
-                params, state = mlp.adam_step(params, state, grad, cfg.learning_rate)
-            final_loss = sq_err / n
+    for epoch in range(1, cfg.epochs + 1):
+        ts = np.floor(g.uniforms(n) * cfg.steps).astype(np.int64) + 1  # uniform on {1..T}
+        eps = noise_mod.sample_block(cfg.noise, n, g)
+        sq_err, bad = mlp.train_epoch(params, state, ts, eps, cfg.x0, alpha_bar, cfg.batch_size,
+                                      cfg.learning_rate)
+        if bad is not None:
+            raise DivergenceError(
+                f"non-finite training loss in epoch {epoch}, minibatch {bad}", step=epoch
+            )
+        final_loss = sq_err / n
     return params, final_loss
 
 

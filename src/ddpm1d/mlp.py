@@ -5,8 +5,9 @@ and the Adam step are written out by hand, in C (``_kernel.c``, built on first
 use by the ``kernel`` module); there is no autodiff anywhere. The parameters
 are one flat (129,) float64 vector theta in [W1 rows, b1, W2, b2] order, the
 weight-dump order. Nothing wraps it, and init_params and adam_step return a
-fresh one. The kernel reads C-contiguous float64 buffers; array arguments
-are converted to that, with no copy when they already are.
+fresh one; train_epoch, one call per training epoch, updates theta and the
+AdamState in place. The kernel reads C-contiguous float64 buffers; read-only
+array arguments are converted to that, with no copy when they already are.
 """
 
 from __future__ import annotations
@@ -97,14 +98,31 @@ def adam_step(
     theta: np.ndarray, s: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; pure (returns a fresh theta and state)."""
-    if lr <= 0.0:
-        raise ValueError(f"learning rate must be > 0, got {lr}")
-    t = s.step_count + 1
-    new = AdamState(np.empty(N_PARAMS), np.empty(N_PARAMS), t)
+    new = AdamState(np.empty(N_PARAMS), np.empty(N_PARAMS), s.step_count + 1)
     theta_new = np.empty(N_PARAMS)
     _kernel().adam(_f64(theta), _f64(s.m), _f64(s.v), _f64(grads), lr, ADAM_BETA1, ADAM_BETA2,
-                   ADAM_EPS, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t, theta_new, new.m, new.v)
+                   ADAM_EPS, new.step_count, theta_new, new.m, new.v)
     return theta_new, new
+
+
+def train_epoch(theta: np.ndarray, s: AdamState, ts: np.ndarray, eps: np.ndarray, x0: float,
+                alpha_bar: np.ndarray, batch_size: int, lr: float) -> tuple[float, int | None]:
+    """One epoch of minibatch Adam steps, in place on theta and ``s``.
+
+    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i],
+    ts[i] / T), where ab = alpha_bar[ts[i] - 1] and T = len(alpha_bar); a step
+    outside 1..T raises IndexError. The minibatches are consecutive runs of
+    ``batch_size`` rows, the last one possibly short, and each is a
+    ``loss_and_grad_arrays`` and an ``adam_step``, bit for bit. Returns the
+    losses times their row counts, summed in order, and None; or, at the first
+    minibatch whose loss is not finite, the sum before it and its index, with
+    its step not taken. theta, ``s.m`` and ``s.v`` must be writable
+    C-contiguous float64 arrays and ``ts`` an int64 one: none is copied.
+    """
+    sq_err, s.step_count, bad = _kernel().train_epoch(
+        theta, s.m, s.v, s.step_count, ts, _f64(eps), x0, _f64(alpha_bar), batch_size, lr,
+        ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    return sq_err, bad
 
 
 def _f64(a) -> np.ndarray:

@@ -6,7 +6,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 UNITS = {"forward_batch": "us", "loss_and_grad_arrays": "us", "adam_step": "us",
          "sample_block.gaussian": "us", "sample_block.uniform": "us",
          "sample_block.arcsine": "us", "sample_block.mix0.5": "us",
-         "uniforms": "us", "gaussians": "us", "timesteps": "us",
+         "uniforms": "us", "gaussians": "us", "timesteps": "us", "rows": "us",
          "train_epoch": "ms", "evaluate_trial": "ms"}
 
 

@@ -1,5 +1,7 @@
 """The compiled network kernel against a numpy reference, its input checks,
-its build cache and its independence from optimization flags.
+its build cache and its independence from optimization flags; and
+``train_epoch``, one call per training epoch, against the loop of
+``loss_and_grad_arrays`` and ``adam_step`` that it replaces.
 
 The numpy functions below are the network's arithmetic as it stood before the
 kernel: matrix products for the forward pass and the gradient, numpy's
@@ -10,15 +12,19 @@ kernel's own order, unit by unit for every row, and the forward pass agrees
 with it bit for bit, up to the sign and payload of a NaN.
 """
 
+import math
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddpm1d import cli, kernel, mlp
+from ddpm1d import cli, kernel, mlp, noise
+from ddpm1d.errors import DivergenceError
+from ddpm1d.experiment import ExperimentConfig, init_stream, train_stream, train_trial
 from ddpm1d.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -33,8 +39,11 @@ from ddpm1d.mlp import (
     forward_batch,
     init_params,
     loss_and_grad_arrays,
+    train_epoch,
 )
+from ddpm1d.noise import NoiseSpec
 from ddpm1d.prng import seed_stream
+from ddpm1d.schedule import build_linear
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -157,9 +166,13 @@ def test_zero_preactivation_has_zero_subgradient():
     assert grad[3] != 0.0 and grad[65] != 0.0 and grad[97] != 0.0
 
 
-def test_adam_is_bit_equal_to_numpy():
-    theta, s = random_theta(4), AdamState.zeros()
-    ref_theta, ref_s = theta.copy(), AdamState.zeros()
+# 47_990 reaches the step counts of a full 3000-epoch trial: the kernel's
+# pow(beta, t) must equal Python's beta ** t there too
+@pytest.mark.parametrize("start", [0, 47_990])
+def test_adam_is_bit_equal_to_numpy(start):
+    theta = random_theta(4)
+    s = AdamState(np.zeros(N_PARAMS), np.zeros(N_PARAMS), start)
+    ref_theta, ref_s = theta.copy(), AdamState(np.zeros(N_PARAMS), np.zeros(N_PARAMS), start)
     for k in range(20):
         X, y = inputs(k, 64)
         _, grad = loss_and_grad_arrays(theta, X, y)
@@ -230,9 +243,13 @@ def test_flags_do_not_move_the_bits(tmp_path):
             grad = np.empty(N_PARAMS)
             k.loss_and_grad(theta, X, y, grad)
             out = [np.empty(N_PARAMS) for _ in range(3)]
-            k.adam(theta, m, v, grad, 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                   1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t, *out)
+            k.adam(theta, m, v, grad, 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t, *out)
             theta, m, v = out
+        # and whole epochs, rows built in the kernel
+        for epoch in range(3):
+            ts, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
+            k.train_epoch(theta, m, v, 300 + 16 * epoch, ts, eps, 7.0, SCHED.alpha_bar, 64,
+                          1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         thetas.append(theta)
     assert thetas[0].tobytes() == thetas[1].tobytes()
     # the forward pass at a row count that leaves a partial block at any vector width
@@ -286,3 +303,169 @@ def test_missing_build_tool_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert ("'no-such-cc' not found" if missing == "compiler" else "Python.h") in lines[0]
     assert list((tmp_path / "cold").iterdir()) == []
     assert not (tmp_path / "out").exists()
+
+
+SCHED = build_linear(1e-4, 0.02, 500)
+FAMILIES = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
+            NoiseSpec("mixture", mix_prob=0.5)]
+
+
+def epoch_draws(spec, n, g, T=500):
+    """One epoch's timesteps and noise block, in train_trial's stream layout."""
+    ts = np.floor(g.uniforms(n) * T).astype(np.int64) + 1
+    return ts, noise.sample_block(spec, n, g)
+
+
+def reference_epoch(theta, s, ts, eps, x0, alpha_bar, batch_size, lr):
+    """The epoch as train_trial ran it before train_epoch: the rows by the
+    q_sample formula in numpy, then a loss_and_grad_arrays and an adam_step per
+    minibatch. Returns (theta, state, summed squared error, index of the first
+    minibatch with a non-finite loss or None)."""
+    ab = alpha_bar[ts - 1]
+    X = np.column_stack([np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, ts / len(alpha_bar)])
+    sq = 0.0
+    for k, lo in enumerate(range(0, len(ts), batch_size)):
+        yb = eps[lo : lo + batch_size]
+        loss, grad = loss_and_grad_arrays(theta, X[lo : lo + batch_size], yb)
+        if not math.isfinite(loss):
+            return theta, s, sq, k
+        sq += loss * len(yb)
+        theta, s = adam_step(theta, s, grad, lr)
+    return theta, s, sq, None
+
+
+def assert_same_state(theta, s, ref_theta, ref_s):
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert s.m.tobytes() == ref_s.m.tobytes() and s.v.tobytes() == ref_s.v.tobytes()
+    assert s.step_count == ref_s.step_count
+
+
+# 1000/64 leaves a remainder batch of 40; 5/1 is all remainder-free single rows
+@pytest.mark.parametrize("n, batch_size", [(1000, 64), (64, 64), (5, 1)])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.label())
+def test_train_epoch_is_bit_equal_to_the_reference_loop(spec, n, batch_size):
+    theta, s = random_theta(7), AdamState.zeros()
+    ref_theta, ref_s = theta.copy(), AdamState.zeros()
+    g = seed_stream(3, 1)
+    for _ in range(4):
+        ts, eps = epoch_draws(spec, n, g)
+        sq, bad = train_epoch(theta, s, ts, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+        ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
+            ref_theta, ref_s, ts, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+        assert bad is None and ref_bad is None
+        assert np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
+        assert_same_state(theta, s, ref_theta, ref_s)
+    assert s.step_count == 4 * -(-n // batch_size)
+
+
+@pytest.mark.parametrize("x0", [7.0, -3.5, 0.0])
+def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
+    ts, eps = epoch_draws(NoiseSpec("mixture", mix_prob=0.5), 1000, seed_stream(8, 1))
+    ts[:3] = (1, 500, 250)  # both ends of the schedule
+    eps[3:6] = (0.0, -0.0, 1e-300)
+    out = np.empty((1000, 2))
+    mlp._kernel().rows(ts, eps, x0, SCHED.alpha_bar, out)
+    ab = SCHED.alpha_bar[ts - 1]
+    assert out[:, 0].tobytes() == (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).tobytes()
+    assert out[:, 1].tobytes() == (ts / 500).tobytes()
+
+
+def reference_train(cfg, trial):
+    """train_trial as it was before train_epoch, on reference_epoch."""
+    theta, s = init_params(init_stream(cfg, trial)), AdamState.zeros()
+    g, alpha_bar = train_stream(cfg, trial), cfg.schedule().alpha_bar
+    loss = math.nan
+    with np.errstate(all="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            ts, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g, cfg.steps)
+            theta, s, sq, bad = reference_epoch(theta, s, ts, eps, cfg.x0, alpha_bar,
+                                                cfg.batch_size, cfg.learning_rate)
+            if bad is not None:
+                raise DivergenceError(f"epoch {epoch}", step=epoch)
+            loss = sq / cfg.samples_per_epoch
+    return theta, loss
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.label())
+def test_train_trial_is_bit_equal_to_the_reference_loop(spec):
+    cfg = ExperimentConfig(epochs=5, samples_per_epoch=200, batch_size=64, steps=50, noise=spec)
+    theta, loss = train_trial(cfg, 1)
+    ref_theta, ref_loss = reference_train(cfg, 1)
+    assert theta.tobytes() == ref_theta.tobytes() and loss == ref_loss
+
+
+def test_divergence_is_found_in_the_same_epoch_and_minibatch():
+    cfg = ExperimentConfig(epochs=5, samples_per_epoch=256, batch_size=32, steps=50,
+                           learning_rate=1e300)
+    with pytest.raises(DivergenceError) as err:
+        train_trial(cfg, 0)
+    with pytest.raises(DivergenceError) as ref:
+        reference_train(cfg, 0)
+    assert err.value.step == ref.value.step
+    # inside the epoch: the state stops before the minibatch whose loss is not finite
+    theta, s = init_params(init_stream(cfg, 0)), AdamState.zeros()
+    g = train_stream(cfg, 0)
+    with np.errstate(all="ignore"):
+        for _ in range(err.value.step):
+            ts, eps = epoch_draws(cfg.noise, 256, g, 50)
+            ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
+                theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), ts, eps, 7.0,
+                cfg.schedule().alpha_bar, 32, 1e300)
+            sq, bad = train_epoch(theta, s, ts, eps, 7.0, cfg.schedule().alpha_bar, 32, 1e300)
+            assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
+            assert_same_state(theta, s, ref_theta, ref_s)
+    assert bad is not None and f"minibatch {bad}" in str(err.value)
+
+
+@pytest.mark.parametrize("bad_step", [0, 501, -3])
+def test_train_epoch_steps_outside_1_to_T_raise_index_error(bad_step):
+    theta, s = random_theta(0), AdamState.zeros()
+    before = theta.copy()
+    ts, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
+    ts[37] = bad_step  # one bad step anywhere in the block
+    with pytest.raises(IndexError, match=rf"step {bad_step} \(index 37\) outside 1\.\.500"):
+        train_epoch(theta, s, ts, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
+    assert theta.tobytes() == before.tobytes() and s.step_count == 0 and not s.m.any()
+    with pytest.raises(IndexError):
+        mlp._kernel().rows(ts, eps, 7.0, SCHED.alpha_bar, np.empty((100, 2)))
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("which", ["theta", "m", "v"])
+@pytest.mark.parametrize("make", [
+    read_only,
+    lambda a: np.repeat(a, 2)[::2],  # a strided view: not C-contiguous
+    lambda a: a[:128].copy(),
+    lambda a: a.astype(np.float32),
+], ids=["read-only", "non-contiguous", "wrong-length", "float32"])
+def test_in_place_arguments_are_never_copied(which, make):
+    theta, s = random_theta(1), AdamState.zeros()
+    args = {"theta": theta, "m": s.m, "v": s.v}
+    args[which] = make(args[which].copy())
+    before = {k: a.copy() for k, a in args.items()}
+    ts, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(1, 1))
+    state = AdamState(args["m"], args["v"])
+    with pytest.raises((ValueError, BufferError)):
+        train_epoch(args["theta"], state, ts, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
+    for k, a in args.items():
+        assert a.tobytes() == before[k].tobytes()
+    assert state.step_count == 0
+
+
+def test_train_epoch_checks_its_other_arguments():
+    theta, s = random_theta(2), AdamState.zeros()
+    ts, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(2, 1))
+    ab = SCHED.alpha_bar
+    with pytest.raises(ValueError, match="int64"):
+        train_epoch(theta, s, ts.astype(np.int32), eps, 7.0, ab, 64, 1e-3)
+    with pytest.raises(ValueError, match="one value per step"):
+        train_epoch(theta, s, ts, eps[:63], 7.0, ab, 64, 1e-3)
+    with pytest.raises(ValueError, match="batch_size"):
+        train_epoch(theta, s, ts, eps, 7.0, ab, 0, 1e-3)
+    with pytest.raises(ValueError, match="learning rate"):
+        train_epoch(theta, s, ts, eps, 7.0, ab, 64, 0.0)
+    assert s.step_count == 0 and not s.m.any()
