@@ -194,6 +194,26 @@ static PyObject *loss_and_grad(PyObject *self, PyObject *args)
     return PyFloat_FromDouble(loss);
 }
 
+/* Borrow o[0..n-1], arrays of N_PARAMS values, into views; those from
+ * first_writable on are written. */
+static int get_params(PyObject **o, const char **names, int n, int first_writable,
+                      Py_buffer *views)
+{
+    Py_ssize_t count;
+    for (int k = 0; k < n; k++) {
+        if (get_f64(o[k], &views[k], k >= first_writable, names[k], &count) < 0) {
+            release(views, k);
+            return -1;
+        }
+        if (count != N_PARAMS) {
+            release(views, k + 1);
+            PyErr_Format(PyExc_ValueError, "%s must hold 129 values", names[k]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 /* The Adam hyperparameters, in mlp's order. */
 typedef struct {
     double lr, b1, b2, eps;
@@ -203,7 +223,10 @@ static int check_lr(double lr)
 {
     if (lr > 0.0)
         return 0;
-    PyErr_SetString(PyExc_ValueError, "learning rate must be > 0");
+    PyObject *value = PyFloat_FromDouble(lr);
+    if (value != NULL)
+        PyErr_Format(PyExc_ValueError, "learning rate must be > 0, got %R", value);
+    Py_XDECREF(value);
     return -1;
 }
 
@@ -231,23 +254,13 @@ static PyObject *adam(PyObject *self, PyObject *args)
     adam_params p;
     long long t;
     Py_buffer v[7];
-    Py_ssize_t count;
     if (!PyArg_ParseTuple(args, "OOOOddddLOOO:adam", &o[0], &o[1], &o[2], &o[3], &p.lr, &p.b1,
                           &p.b2, &p.eps, &t, &o[4], &o[5], &o[6]))
         return NULL;
     if (check_lr(p.lr) < 0)
         return NULL;
-    for (int k = 0; k < 7; k++) {
-        if (get_f64(o[k], &v[k], k >= 4, names[k], &count) < 0) {
-            release(v, k);
-            return NULL;
-        }
-        if (count != N_PARAMS) {
-            release(v, k + 1);
-            PyErr_Format(PyExc_ValueError, "%s must hold 129 values", names[k]);
-            return NULL;
-        }
-    }
+    if (get_params(o, names, 7, 4, v) < 0)
+        return NULL;
     adam_body(v[0].buf, v[1].buf, v[2].buf, v[3].buf, &p, t, v[4].buf, v[5].buf, v[6].buf);
     release(v, 7);
     Py_RETURN_NONE;
@@ -336,7 +349,7 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
     adam_params p;
     long long step;
     double x0;
-    Py_ssize_t batch, n, count;
+    Py_ssize_t batch, n;
     Py_buffer v[6];
     if (!PyArg_ParseTuple(args, "OOOLOOdOndddd:train_epoch", &o[0], &o[1], &o[2], &step, &o[3],
                           &o[4], &x0, &o[5], &batch, &p.lr, &p.b1, &p.b2, &p.eps))
@@ -347,17 +360,8 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "batch_size must be >= 1");
         return NULL;
     }
-    for (int k = 0; k < 3; k++) {
-        if (get_f64(o[k], &v[k], 1, names[k], &count) < 0) {
-            release(v, k);
-            return NULL;
-        }
-        if (count != N_PARAMS) {
-            release(v, k + 1);
-            PyErr_Format(PyExc_ValueError, "%s must hold 129 values", names[k]);
-            return NULL;
-        }
-    }
+    if (get_params(o, names, 3, 0, v) < 0)
+        return NULL;
     if (get_row_args(o[3], o[4], o[5], v + 3, &n) < 0) {
         release(v, 3);
         return NULL;
@@ -397,7 +401,8 @@ static PyMethodDef methods[] = {
     {"rows", rows, METH_VARARGS,
      "rows(ts, eps, x0, alpha_bar, out): the training rows (x_t, t / T) into out."},
     {"train_epoch", train_epoch, METH_VARARGS,
-     "train_epoch(theta, m, v, step, ts, eps, x0, alpha_bar, batch_size, lr, beta1, beta2, eps)"
+     "train_epoch(theta, m, v, step, ts, eps, x0, alpha_bar, batch_size, lr, beta1, beta2,"
+     " adam_eps)"
      " -> (sum of squared errors, step, None or the diverged minibatch)."},
     {NULL, NULL, 0, NULL},
 };

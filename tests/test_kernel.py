@@ -375,14 +375,13 @@ def reference_train(cfg, trial):
     theta, s = init_params(init_stream(cfg, trial)), AdamState.zeros()
     g, alpha_bar = train_stream(cfg, trial), cfg.schedule().alpha_bar
     loss = math.nan
-    with np.errstate(all="ignore"):
-        for epoch in range(1, cfg.epochs + 1):
-            ts, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g, cfg.steps)
-            theta, s, sq, bad = reference_epoch(theta, s, ts, eps, cfg.x0, alpha_bar,
-                                                cfg.batch_size, cfg.learning_rate)
-            if bad is not None:
-                raise DivergenceError(f"epoch {epoch}", step=epoch)
-            loss = sq / cfg.samples_per_epoch
+    for epoch in range(1, cfg.epochs + 1):
+        ts, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g, cfg.steps)
+        theta, s, sq, bad = reference_epoch(theta, s, ts, eps, cfg.x0, alpha_bar,
+                                            cfg.batch_size, cfg.learning_rate)
+        if bad is not None:
+            raise DivergenceError(f"epoch {epoch}", step=epoch)
+        loss = sq / cfg.samples_per_epoch
     return theta, loss
 
 
@@ -404,16 +403,15 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
     assert err.value.step == ref.value.step
     # inside the epoch: the state stops before the minibatch whose loss is not finite
     theta, s = init_params(init_stream(cfg, 0)), AdamState.zeros()
-    g = train_stream(cfg, 0)
-    with np.errstate(all="ignore"):
-        for _ in range(err.value.step):
-            ts, eps = epoch_draws(cfg.noise, 256, g, 50)
-            ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
-                theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), ts, eps, 7.0,
-                cfg.schedule().alpha_bar, 32, 1e300)
-            sq, bad = train_epoch(theta, s, ts, eps, 7.0, cfg.schedule().alpha_bar, 32, 1e300)
-            assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
-            assert_same_state(theta, s, ref_theta, ref_s)
+    g, alpha_bar = train_stream(cfg, 0), cfg.schedule().alpha_bar
+    for _ in range(err.value.step):
+        ts, eps = epoch_draws(cfg.noise, 256, g, 50)
+        ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
+            theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), ts, eps, 7.0, alpha_bar, 32,
+            1e300)
+        sq, bad = train_epoch(theta, s, ts, eps, 7.0, alpha_bar, 32, 1e300)
+        assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
+        assert_same_state(theta, s, ref_theta, ref_s)
     assert bad is not None and f"minibatch {bad}" in str(err.value)
 
 
@@ -466,6 +464,6 @@ def test_train_epoch_checks_its_other_arguments():
         train_epoch(theta, s, ts, eps[:63], 7.0, ab, 64, 1e-3)
     with pytest.raises(ValueError, match="batch_size"):
         train_epoch(theta, s, ts, eps, 7.0, ab, 0, 1e-3)
-    with pytest.raises(ValueError, match="learning rate"):
-        train_epoch(theta, s, ts, eps, 7.0, ab, 64, 0.0)
+    with pytest.raises(ValueError, match="learning rate must be > 0, got nan"):
+        train_epoch(theta, s, ts, eps, 7.0, ab, 64, float("nan"))
     assert s.step_count == 0 and not s.m.any()
