@@ -166,10 +166,17 @@ def test_zero_preactivation_has_zero_subgradient():
     assert grad[3] != 0.0 and grad[65] != 0.0 and grad[97] != 0.0
 
 
-# 47_990 reaches the step counts of a full 3000-epoch trial: the kernel's
-# pow(beta, t) must equal Python's beta ** t there too
-@pytest.mark.parametrize("start", [0, 47_990])
-def test_adam_is_bit_equal_to_numpy(start):
+def test_adam_is_bit_equal_to_numpy():
+    assert_adam_matches_numpy(start=0)
+
+
+def test_adam_is_bit_equal_to_numpy_at_a_full_trials_step_counts():
+    # 47_990 reaches the step counts of a full 3000-epoch trial: the kernel's
+    # pow(beta, t) must equal Python's beta ** t there too
+    assert_adam_matches_numpy(start=47_990)
+
+
+def assert_adam_matches_numpy(start):
     theta = random_theta(4)
     s = AdamState(np.zeros(N_PARAMS), np.zeros(N_PARAMS), start)
     ref_theta, ref_s = theta.copy(), AdamState(np.zeros(N_PARAMS), np.zeros(N_PARAMS), start)
@@ -413,6 +420,32 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
         assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
         assert_same_state(theta, s, ref_theta, ref_s)
     assert bad is not None and f"minibatch {bad}" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.label())
+def test_rebound_loss_and_adam_see_every_minibatch_and_move_no_bit(spec, monkeypatch):
+    cfg = ExperimentConfig(epochs=5, samples_per_epoch=200, batch_size=64, steps=50, noise=spec)
+    diverging = replace(cfg, learning_rate=1e300)
+    fused_theta, fused_loss = train_trial(cfg, 1)
+    with pytest.raises(DivergenceError) as fused_err:
+        train_trial(diverging, 0)
+    calls = {"loss": 0, "adam": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mlp, "loss_and_grad_arrays", counting("loss", loss_and_grad_arrays))
+    monkeypatch.setattr(mlp, "adam_step", counting("adam", adam_step))
+    theta, loss = train_trial(cfg, 1)
+    assert theta.tobytes() == fused_theta.tobytes() and loss == fused_loss
+    # 200 rows in batches of 64: three full minibatches and a remainder of 8
+    assert calls == {"loss": 5 * 4, "adam": 5 * 4}
+    with pytest.raises(DivergenceError) as err:
+        train_trial(diverging, 0)
+    assert (err.value.step, str(err.value)) == (fused_err.value.step, str(fused_err.value))
 
 
 @pytest.mark.parametrize("bad_step", [0, 501, -3])
