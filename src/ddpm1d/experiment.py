@@ -121,29 +121,6 @@ def eval_stream(cfg: ExperimentConfig, trial: int) -> RngStream:
     return g
 
 
-# mlp.train_epoch is these two fused, bit for bit. When either name is rebound
-# (a profiler's timing wrapper, say), train_trial runs each epoch through them
-# instead, so that every minibatch reaches the rebinding.
-_FUSED = (mlp.loss_and_grad_arrays, mlp.adam_step)
-
-
-def _unfused_epoch(theta, s, ts, eps, x0, alpha_bar, batch_size, lr):
-    """mlp.train_epoch, minibatch by minibatch through mlp.loss_and_grad_arrays
-    and mlp.adam_step; same arguments, updates and return value."""
-    ab = alpha_bar[ts - 1]
-    X = np.column_stack([np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, ts / len(alpha_bar)])
-    sq_err = 0.0
-    for k, lo in enumerate(range(0, len(ts), batch_size)):
-        y = eps[lo : lo + batch_size]
-        loss, grad = mlp.loss_and_grad_arrays(theta, X[lo : lo + batch_size], y)
-        if not math.isfinite(loss):
-            return sq_err, k
-        sq_err += loss * len(y)
-        theta[:], new = mlp.adam_step(theta, s, grad, lr)
-        s.m, s.v, s.step_count = new.m, new.v, new.step_count
-    return sq_err, None
-
-
 def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     """Train one denoiser; returns (params, mean loss of the last epoch).
 
@@ -157,13 +134,11 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     state = mlp.AdamState.zeros()
     n = cfg.samples_per_epoch
     final_loss = math.nan
-    fused = (mlp.loss_and_grad_arrays, mlp.adam_step) == _FUSED
-    train_epoch = mlp.train_epoch if fused else _unfused_epoch
     for epoch in range(1, cfg.epochs + 1):
         ts = np.floor(g.uniforms(n) * cfg.steps).astype(np.int64) + 1  # uniform on {1..T}
         eps = noise_mod.sample_block(cfg.noise, n, g)
-        sq_err, bad = train_epoch(params, state, ts, eps, cfg.x0, alpha_bar, cfg.batch_size,
-                                  cfg.learning_rate)
+        sq_err, bad = mlp.train_epoch(params, state, ts, eps, cfg.x0, alpha_bar, cfg.batch_size,
+                                      cfg.learning_rate)
         if bad is not None:
             raise DivergenceError(
                 f"non-finite training loss in epoch {epoch}, minibatch {bad}", step=epoch

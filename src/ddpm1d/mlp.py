@@ -4,10 +4,10 @@ The hidden layer is ReLU and the optimizer is Adam. Exact analytic gradients
 and the Adam step are written out by hand, in C (``_kernel.c``, built on first
 use by the ``kernel`` module); there is no autodiff anywhere. The parameters
 are one flat (129,) float64 vector theta in [W1 rows, b1, W2, b2] order, the
-weight-dump order. Nothing wraps it, and init_params and adam_step return a
-fresh one; train_epoch, one call per training epoch, updates theta and the
-AdamState in place. The kernel reads C-contiguous float64 buffers; read-only
-array arguments are converted to that, with no copy when they already are.
+weight-dump order. Nothing wraps it: init_params and adam_step return a fresh
+one, and train_epoch, one call per epoch, updates it and the AdamState in place.
+The kernel reads C-contiguous float64 buffers; read-only array arguments are
+converted to that, with no copy when they already are.
 """
 
 from __future__ import annotations
@@ -105,24 +105,39 @@ def adam_step(
     return theta_new, new
 
 
+_FUSED = (loss_and_grad_arrays, adam_step)  # what train_epoch runs in one kernel call
+
+
 def train_epoch(theta: np.ndarray, s: AdamState, ts: np.ndarray, eps: np.ndarray, x0: float,
                 alpha_bar: np.ndarray, batch_size: int, lr: float) -> tuple[float, int | None]:
     """One epoch of minibatch Adam steps, in place on theta and ``s``.
 
-    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i],
-    ts[i] / T), where ab = alpha_bar[ts[i] - 1] and T = len(alpha_bar); a step
-    outside 1..T raises IndexError. The minibatches are consecutive runs of
-    ``batch_size`` rows, the last one possibly short, and each is a
-    ``loss_and_grad_arrays`` and an ``adam_step``, bit for bit. Returns the
-    losses times their row counts, summed in order, and None; or, at the first
-    minibatch whose loss is not finite, the sum before it and its index, with
-    its step not taken. theta, ``s.m`` and ``s.v`` must be writable
-    C-contiguous float64 arrays and ``ts`` an int64 one: none is copied.
+    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], ts[i] / T), with
+    ab = alpha_bar[ts[i] - 1] and T = len(alpha_bar); a step outside 1..T raises IndexError.
+    Each run of ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays and an
+    adam_step, bit for bit, fused in one kernel call; a rebound name (a profiler's timer, say)
+    is called per minibatch instead. Returns the losses times their row counts, summed in
+    order, and None; or, at the first non-finite loss, the sum before it and its minibatch
+    index, its step not taken. theta, ``s.m`` and ``s.v`` must be writable C-contiguous
+    float64 arrays and ``ts`` an int64 one: none is copied.
     """
-    sq_err, s.step_count, bad = _kernel().train_epoch(
-        theta, s.m, s.v, s.step_count, ts, _f64(eps), x0, _f64(alpha_bar), batch_size, lr,
-        ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-    return sq_err, bad
+    if (loss_and_grad_arrays, adam_step) == _FUSED:
+        sq_err, s.step_count, bad = _kernel().train_epoch(
+            theta, s.m, s.v, s.step_count, ts, _f64(eps), x0, _f64(alpha_bar), batch_size, lr,
+            ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        return sq_err, bad
+    X = np.empty((len(ts), N_IN))
+    _kernel().rows(ts, _f64(eps), x0, _f64(alpha_bar), X)
+    sq_err = 0.0
+    for k, lo in enumerate(range(0, len(ts), batch_size)):
+        y = eps[lo : lo + batch_size]
+        loss, grad = loss_and_grad_arrays(theta, X[lo : lo + batch_size], y)
+        if not np.isfinite(loss):
+            return sq_err, k
+        sq_err += loss * len(y)
+        theta[:], new = adam_step(theta, s, grad, lr)
+        s.m, s.v, s.step_count = new.m, new.v, new.step_count
+    return sq_err, None
 
 
 def _f64(a) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddpm1d import mlp
 from ddpm1d.diffusion import (
     DIVERGENCE_LIMIT,
     SamplerOptions,
@@ -31,10 +32,11 @@ def sched():
 
 def q_sample_block(x0, ts, s, eps):
     """Forward corruption sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps of the 1-based
-    steps ``ts``: the formula by which training builds its rows (in C, in
-    ``mlp.train_epoch``; tests/test_kernel.py holds it to this formula)."""
-    ab = s.alpha_bar[ts - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    steps ``ts``: the first column of the rows the kernel builds for training."""
+    out = np.empty((len(ts), 2))
+    mlp._kernel().rows(np.asarray(ts, dtype=np.int64), np.asarray(eps, dtype=np.float64), x0,
+                       s.alpha_bar, out)
+    return out[:, 0]
 
 
 def q_sample(x0, t, s, eps):
@@ -52,6 +54,16 @@ def test_q_sample_terminal_value(sched):
     assert q_sample(X0, 500, sched, 0.0) == pytest.approx(0.5579272614362355, rel=1e-12)
 
 
+def test_q_sample_out_of_range(sched):
+    with pytest.raises(IndexError):
+        q_sample(X0, 0, sched, 0.0)
+    with pytest.raises(IndexError):
+        q_sample(X0, 501, sched, 0.0)
+    # one bad step anywhere in a block
+    with pytest.raises(IndexError):
+        q_sample_block(X0, np.array([3, 0, 7]), sched, np.zeros(3))
+
+
 @given(
     st.floats(-20, 20),
     st.floats(-5, 5),
@@ -64,8 +76,7 @@ def test_q_sample_affine_in_noise(sched, x0, e1, e2, t):
 
 
 def test_q_sample_block_matches_scalar(sched):
-    # numpy's vectorized formula equals scalar IEEE arithmetic bit for bit, which
-    # is what lets the kernel build the training rows one value at a time
+    # the kernel's rows are the formula in scalar IEEE arithmetic, bit for bit
     ts = np.array([1, 17, 250, 500, 3, 499, 128])
     eps = np.array([0.3, -1.2, 2.0, 0.0, 1e-300, -7.5, 3.25])
     block = q_sample_block(X0, ts, sched, eps)
