@@ -1,8 +1,9 @@
 /* The network arithmetic behind ddpm1d.mlp: the forward pass, the mean squared
- * error with its exact gradient, and the Adam update, for the 2-32-1 ReLU
- * network on the flat 129-value theta [W1 rows (32 x 2), b1 (32), W2 (32), b2];
- * and train_epoch, which builds an epoch's (x_t, t / T) rows and runs every
- * minibatch's loss, gradient and Adam step in place, in one call.
+ * error with its exact gradient, and the Adam update, in place on theta and its
+ * moments, for the 2-32-1 ReLU network on the flat 129-value theta [W1 rows
+ * (32 x 2), b1 (32), W2 (32), b2]; and train_epoch, which builds an epoch's
+ * (x_t, t / T) rows and runs every minibatch's loss, gradient and Adam step in
+ * place, in one call.
  *
  * Every sum runs in one fixed order, written out below, and the module is
  * compiled with -ffp-contract=off, so that no multiply-add is fused: the bits
@@ -12,9 +13,10 @@
  * order j = 0..31, so the compiler can compute a block's rows side by side in
  * vector lanes without moving a row's bits. A last, partial block is padded
  * with zero rows. The entries loss_and_grad, adam and train_epoch share one
- * loss-and-gradient body and one Adam body. Arrays arrive as C-contiguous
- * float64 (or, for train_epoch's steps, int64) buffers, whose lengths are
- * checked before anything is read or written.
+ * loss-and-gradient body and one Adam body. Each entry lists its array
+ * arguments in one table of arg descriptors, and borrow checks them all, as
+ * C-contiguous float64 (or, for train_epoch's steps, int64) buffers of the
+ * right length, before anything is read or written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -29,66 +31,60 @@
 #define OFF_B2 (OFF_W2 + HIDDEN)
 #define BLOCK 8
 
-/* Borrow obj's buffer as C-contiguous 8-byte values, float64 for kind 'd' and
- * int64 for kind 'q'; *count gets their number. */
-static int get_array(PyObject *obj, Py_buffer *view, int writable, const char *name, char kind,
-                     Py_ssize_t *count)
+/* One array argument: its name, its kind ('d': float64, 'q': int64), whether it
+ * is written, and the number of values it must hold (0: any); then the object
+ * and, once borrowed, its buffer. */
+typedef struct {
+    const char *name;
+    char kind;
+    int writable;
+    Py_ssize_t want;
+    PyObject *obj;
+    Py_buffer view;
+} arg;
+
+#define COUNT(a) ((a).view.len / 8)
+
+static void release(arg *a, int k)
 {
-    int flags = PyBUF_ND | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    const char *f = view->format;
-    if (view->itemsize != 8 || f == NULL || f[0] == '\0' || f[1] != '\0' ||
-        !(f[0] == kind || (kind == 'q' && f[0] == 'l'))) {
-        PyBuffer_Release(view);
-        PyErr_Format(PyExc_ValueError, "%s must be a%s array", name,
-                     kind == 'd' ? " float64" : "n int64");
+    while (k-- > 0)
+        PyBuffer_Release(&a[k].view);
+}
+
+/* Borrow a[0..k-1]'s buffers, each C-contiguous 8-byte values of its kind,
+ * writable if it is written and holding its count; on any failure, release
+ * those already borrowed. */
+static int borrow(arg *a, int k)
+{
+    for (int i = 0; i < k; i++) {
+        const int flags = PyBUF_ND | PyBUF_FORMAT | (a[i].writable ? PyBUF_WRITABLE : 0);
+        if (PyObject_GetBuffer(a[i].obj, &a[i].view, flags) < 0) {
+            release(a, i);
+            return -1;
+        }
+        const char kind = a[i].kind;
+        const char *f = a[i].view.format;
+        if (a[i].view.itemsize != 8 || f == NULL || f[0] == '\0' || f[1] != '\0' ||
+            !(f[0] == kind || (kind == 'q' && f[0] == 'l')))
+            PyErr_Format(PyExc_ValueError, "%s must be a%s array", a[i].name,
+                         kind == 'd' ? " float64" : "n int64");
+        else if (a[i].want != 0 && COUNT(a[i]) != a[i].want)
+            PyErr_Format(PyExc_ValueError, "%s must hold %zd values", a[i].name, a[i].want);
+        else
+            continue;
+        release(a, i + 1);
         return -1;
     }
-    *count = view->len / 8;
     return 0;
 }
 
-static int get_f64(PyObject *obj, Py_buffer *view, int writable, const char *name,
-                   Py_ssize_t *count)
+/* Whether X is (n, 2), one row per target or output; else ValueError. */
+static int check_X(const arg *X, Py_ssize_t n)
 {
-    return get_array(obj, view, writable, name, 'd', count);
-}
-
-static void release(Py_buffer *views, int n)
-{
-    for (int i = 0; i < n; i++)
-        PyBuffer_Release(&views[i]);
-}
-
-/* Borrow theta, X and the per-row array (y or out) into views[0..2]; check
- * that theta holds N_PARAMS values and that X is (n, 2), n being the per-row
- * array's length. */
-static int get_network_args(PyObject *theta, PyObject *X, PyObject *rows, int rows_writable,
-                            Py_buffer *views, Py_ssize_t *n)
-{
-    Py_ssize_t n_theta, n_x;
-    const char *msg = NULL;
-    if (get_f64(theta, &views[0], 0, "theta", &n_theta) < 0)
-        return -1;
-    if (get_f64(X, &views[1], 0, "X", &n_x) < 0) {
-        release(views, 1);
-        return -1;
-    }
-    if (get_f64(rows, &views[2], rows_writable, rows_writable ? "out" : "y", n) < 0) {
-        release(views, 2);
-        return -1;
-    }
-    if (n_theta != N_PARAMS)
-        msg = "theta must hold 129 values";
-    else if (views[1].ndim != 2 || views[1].shape[1] != N_IN || n_x != N_IN * *n)
-        msg = "X must be an (n, 2) array with one row per target";
-    if (msg != NULL) {
-        release(views, 3);
-        PyErr_SetString(PyExc_ValueError, msg);
-        return -1;
-    }
-    return 0;
+    if (X->view.ndim == 2 && X->view.shape[1] == N_IN && COUNT(*X) == N_IN * n)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "X must be an (n, 2) array with one row per target");
+    return -1;
 }
 
 /* The predictions of rows 0..m-1 of X (m <= BLOCK) into out[0..m-1]; z[j][r]
@@ -118,20 +114,21 @@ static void forward_block(const double *th, const double *X, Py_ssize_t m,
 
 static PyObject *forward(PyObject *self, PyObject *args)
 {
-    PyObject *theta, *X, *out;
-    Py_buffer v[3];
-    Py_ssize_t n;
-    double z[HIDDEN][BLOCK];
-    if (!PyArg_ParseTuple(args, "OOO:forward", &theta, &X, &out))
+    arg a[] = {{"theta", 'd', 0, N_PARAMS}, {"X", 'd'}, {"out", 'd', 1}};
+    if (!PyArg_ParseTuple(args, "OOO:forward", &a[0].obj, &a[1].obj, &a[2].obj) ||
+        borrow(a, 3) < 0)
         return NULL;
-    if (get_network_args(theta, X, out, 1, v, &n) < 0)
-        return NULL;
-    const double *th = v[0].buf, *x = v[1].buf;
-    double *o = v[2].buf;
-    for (Py_ssize_t i = 0; i < n; i += BLOCK)
-        forward_block(th, x + N_IN * i, n - i < BLOCK ? n - i : BLOCK, z, o + i);
-    release(v, 3);
-    Py_RETURN_NONE;
+    const Py_ssize_t n = COUNT(a[2]);
+    PyObject *result = NULL;
+    if (check_X(&a[1], n) == 0) {
+        const double *th = a[0].view.buf, *x = a[1].view.buf;
+        double *o = a[2].view.buf, z[HIDDEN][BLOCK];
+        for (Py_ssize_t i = 0; i < n; i += BLOCK)
+            forward_block(th, x + N_IN * i, n - i < BLOCK ? n - i : BLOCK, z, o + i);
+        result = Py_NewRef(Py_None);
+    }
+    release(a, 3);
+    return result;
 }
 
 /* Loss: the squared errors summed row by row, over n; returned. Gradient: each
@@ -172,46 +169,21 @@ static double mse_grad(const double *th, const double *x, const double *yy, Py_s
 
 static PyObject *loss_and_grad(PyObject *self, PyObject *args)
 {
-    PyObject *theta, *X, *y, *grad;
-    Py_buffer v[4];
-    Py_ssize_t n, n_grad;
-    if (!PyArg_ParseTuple(args, "OOOO:loss_and_grad", &theta, &X, &y, &grad))
+    arg a[] = {{"theta", 'd', 0, N_PARAMS}, {"X", 'd'}, {"y", 'd'}, {"grad", 'd', 1, N_PARAMS}};
+    if (!PyArg_ParseTuple(args, "OOOO:loss_and_grad", &a[0].obj, &a[1].obj, &a[2].obj,
+                          &a[3].obj) ||
+        borrow(a, 4) < 0)
         return NULL;
-    if (get_network_args(theta, X, y, 0, v, &n) < 0)
-        return NULL;
-    if (get_f64(grad, &v[3], 1, "grad", &n_grad) < 0) {
-        release(v, 3);
-        return NULL;
-    }
-    if (n_grad != N_PARAMS || n == 0) {
-        release(v, 4);
-        PyErr_SetString(PyExc_ValueError,
-                        n == 0 ? "the batch is empty" : "grad must hold 129 values");
-        return NULL;
-    }
-    const double loss = mse_grad(v[0].buf, v[1].buf, v[2].buf, n, v[3].buf);
-    release(v, 4);
-    return PyFloat_FromDouble(loss);
-}
-
-/* Borrow o[0..n-1], arrays of N_PARAMS values, into views; those from
- * first_writable on are written. */
-static int get_params(PyObject **o, const char **names, int n, int first_writable,
-                      Py_buffer *views)
-{
-    Py_ssize_t count;
-    for (int k = 0; k < n; k++) {
-        if (get_f64(o[k], &views[k], k >= first_writable, names[k], &count) < 0) {
-            release(views, k);
-            return -1;
-        }
-        if (count != N_PARAMS) {
-            release(views, k + 1);
-            PyErr_Format(PyExc_ValueError, "%s must hold 129 values", names[k]);
-            return -1;
-        }
-    }
-    return 0;
+    const Py_ssize_t n = COUNT(a[2]);
+    PyObject *result = NULL;
+    const int x_ok = check_X(&a[1], n) == 0;
+    if (x_ok && n == 0)
+        PyErr_SetString(PyExc_ValueError, "the batch is empty");
+    else if (x_ok)
+        result = PyFloat_FromDouble(
+            mse_grad(a[0].view.buf, a[1].view.buf, a[2].view.buf, n, a[3].view.buf));
+    release(a, 4);
+    return result;
 }
 
 /* The Adam hyperparameters, in mlp's order. */
@@ -230,75 +202,53 @@ static int check_lr(double lr)
     return -1;
 }
 
-/* The t-th bias-corrected Adam step, elementwise in numpy's order. The
- * corrections 1 - beta^t come from pow, the function that Python's float ** int
- * calls. The outputs may be the inputs. */
-static void adam_body(const double *th, const double *m, const double *s, const double *g,
-                      const adam_params *p, long long t, double *th2, double *m2, double *s2)
+/* The t-th bias-corrected Adam step, in place on th, m and s, elementwise in
+ * numpy's order. The corrections 1 - beta^t come from pow, the function that
+ * Python's float ** int calls. */
+static void adam_body(double *th, double *m, double *s, const double *g, const adam_params *p,
+                      long long t)
 {
     const double c1 = 1.0 - pow(p->b1, (double)t), c2 = 1.0 - pow(p->b2, (double)t);
     for (int i = 0; i < N_PARAMS; i++) {
-        const double mi = p->b1 * m[i] + (1.0 - p->b1) * g[i];
-        const double si = p->b2 * s[i] + (1.0 - p->b2) * (g[i] * g[i]);
-        m2[i] = mi;
-        s2[i] = si;
-        th2[i] = th[i] - p->lr * (mi / c1) / (sqrt(si / c2) + p->eps);
+        m[i] = p->b1 * m[i] + (1.0 - p->b1) * g[i];
+        s[i] = p->b2 * s[i] + (1.0 - p->b2) * (g[i] * g[i]);
+        th[i] = th[i] - p->lr * (m[i] / c1) / (sqrt(s[i] / c2) + p->eps);
     }
 }
 
-/* Adam step t into the three out arrays. */
 static PyObject *adam(PyObject *self, PyObject *args)
 {
-    PyObject *o[7];
-    const char *names[7] = {"theta", "m", "v", "grad", "theta_out", "m_out", "v_out"};
+    arg a[] = {{"theta", 'd', 1, N_PARAMS}, {"m", 'd', 1, N_PARAMS}, {"v", 'd', 1, N_PARAMS},
+               {"grad", 'd', 0, N_PARAMS}};
     adam_params p;
     long long t;
-    Py_buffer v[7];
-    if (!PyArg_ParseTuple(args, "OOOOddddLOOO:adam", &o[0], &o[1], &o[2], &o[3], &p.lr, &p.b1,
-                          &p.b2, &p.eps, &t, &o[4], &o[5], &o[6]))
+    if (!PyArg_ParseTuple(args, "OOOOddddL:adam", &a[0].obj, &a[1].obj, &a[2].obj, &a[3].obj,
+                          &p.lr, &p.b1, &p.b2, &p.eps, &t) ||
+        check_lr(p.lr) < 0 || borrow(a, 4) < 0)
         return NULL;
-    if (check_lr(p.lr) < 0)
-        return NULL;
-    if (get_params(o, names, 7, 4, v) < 0)
-        return NULL;
-    adam_body(v[0].buf, v[1].buf, v[2].buf, v[3].buf, &p, t, v[4].buf, v[5].buf, v[6].buf);
-    release(v, 7);
+    adam_body(a[0].view.buf, a[1].view.buf, a[2].view.buf, a[3].view.buf, &p, t);
+    release(a, 4);
     Py_RETURN_NONE;
 }
 
-/* Borrow ts (int64) and eps, one value per step, and alpha_bar into views[0..2];
- * *n gets the number of steps. */
-static int get_row_args(PyObject *ts, PyObject *eps, PyObject *alpha_bar, Py_buffer *views,
-                        Py_ssize_t *n)
+/* The training rows into X, of len values, from a[0..2] = ts, eps and
+ * alpha_bar: row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
+ * t = ts[i], ab = alpha_bar[t - 1] and T is alpha_bar's length; numpy's
+ * operations in numpy's order. Lengths other than one eps value and one row
+ * per step raise ValueError before X is written, and a step outside 1..T stops
+ * it with IndexError. */
+static int build_rows(const arg *a, double x0, double *X, Py_ssize_t len)
 {
-    Py_ssize_t n_eps, T;
-    if (get_array(ts, &views[0], 0, "ts", 'q', n) < 0)
-        return -1;
-    if (get_f64(eps, &views[1], 0, "eps", &n_eps) < 0) {
-        release(views, 1);
-        return -1;
-    }
-    if (get_f64(alpha_bar, &views[2], 0, "alpha_bar", &T) < 0) {
-        release(views, 2);
-        return -1;
-    }
-    if (n_eps != *n) {
-        release(views, 3);
-        PyErr_SetString(PyExc_ValueError, "eps must hold one value per step in ts");
+    const long long *ts = a[0].view.buf;
+    const double *e = a[1].view.buf, *ab = a[2].view.buf;
+    const Py_ssize_t n = COUNT(a[0]), T = COUNT(a[2]);
+    const char *msg = COUNT(a[1]) != n ? "eps must hold one value per step in ts"
+                      : len != N_IN * n ? "out must hold two values per step in ts"
+                      : NULL;
+    if (msg != NULL) {
+        PyErr_SetString(PyExc_ValueError, msg);
         return -1;
     }
-    return 0;
-}
-
-/* The training rows into X: row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i],
- * t / T), where t = ts[i], ab = alpha_bar[t - 1] and T is alpha_bar's length;
- * numpy's operations in numpy's order. A step outside 1..T stops it with
- * IndexError. */
-static int build_rows(const Py_buffer *views, double x0, double *X)
-{
-    const long long *ts = views[0].buf;
-    const double *e = views[1].buf, *ab = views[2].buf;
-    const Py_ssize_t n = views[0].len / 8, T = views[2].len / 8;
     for (Py_ssize_t i = 0; i < n; i++) {
         if (ts[i] < 1 || ts[i] > T) {
             PyErr_Format(PyExc_IndexError, "step %lld (index %zd) outside 1..%zd", ts[i], i, T);
@@ -313,27 +263,14 @@ static int build_rows(const Py_buffer *views, double x0, double *X)
 
 static PyObject *rows(PyObject *self, PyObject *args)
 {
-    PyObject *ts, *eps, *alpha_bar, *out;
+    arg a[] = {{"ts", 'q'}, {"eps", 'd'}, {"alpha_bar", 'd'}, {"out", 'd', 1}};
     double x0;
-    Py_buffer v[4];
-    Py_ssize_t n, n_out;
-    if (!PyArg_ParseTuple(args, "OOdOO:rows", &ts, &eps, &x0, &alpha_bar, &out))
+    if (!PyArg_ParseTuple(args, "OOdOO:rows", &a[0].obj, &a[1].obj, &x0, &a[2].obj, &a[3].obj) ||
+        borrow(a, 4) < 0)
         return NULL;
-    if (get_row_args(ts, eps, alpha_bar, v, &n) < 0)
-        return NULL;
-    if (get_f64(out, &v[3], 1, "out", &n_out) < 0) {
-        release(v, 3);
-        return NULL;
-    }
-    int rc = -1;
-    if (n_out != N_IN * n)
-        PyErr_SetString(PyExc_ValueError, "out must hold two values per step in ts");
-    else
-        rc = build_rows(v, x0, v[3].buf);
-    release(v, 4);
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    const int rc = build_rows(a, x0, a[3].view.buf, COUNT(a[3]));
+    release(a, 4);
+    return rc < 0 ? NULL : Py_NewRef(Py_None);
 }
 
 /* One training epoch, in place on theta, m and v: the rows, as build_rows makes
@@ -344,35 +281,31 @@ static PyObject *rows(PyObject *self, PyObject *args)
  * not taken. Nothing is written before every argument has been checked. */
 static PyObject *train_epoch(PyObject *self, PyObject *args)
 {
-    PyObject *o[6];
-    const char *names[3] = {"theta", "m", "v"};
+    arg a[] = {{"theta", 'd', 1, N_PARAMS}, {"m", 'd', 1, N_PARAMS}, {"v", 'd', 1, N_PARAMS},
+               {"ts", 'q'}, {"eps", 'd'}, {"alpha_bar", 'd'}};
     adam_params p;
     long long step;
     double x0;
-    Py_ssize_t batch, n;
-    Py_buffer v[6];
-    if (!PyArg_ParseTuple(args, "OOOLOOdOndddd:train_epoch", &o[0], &o[1], &o[2], &step, &o[3],
-                          &o[4], &x0, &o[5], &batch, &p.lr, &p.b1, &p.b2, &p.eps))
-        return NULL;
-    if (check_lr(p.lr) < 0)
+    Py_ssize_t batch;
+    if (!PyArg_ParseTuple(args, "OOOLOOdOndddd:train_epoch", &a[0].obj, &a[1].obj, &a[2].obj,
+                          &step, &a[3].obj, &a[4].obj, &x0, &a[5].obj, &batch, &p.lr, &p.b1,
+                          &p.b2, &p.eps) ||
+        check_lr(p.lr) < 0)
         return NULL;
     if (batch < 1) {
         PyErr_SetString(PyExc_ValueError, "batch_size must be >= 1");
         return NULL;
     }
-    if (get_params(o, names, 3, 0, v) < 0)
+    if (borrow(a, 6) < 0)
         return NULL;
-    if (get_row_args(o[3], o[4], o[5], v + 3, &n) < 0) {
-        release(v, 3);
-        return NULL;
-    }
+    const Py_ssize_t n = COUNT(a[3]);
     PyObject *result = NULL;
     double *X = PyMem_Malloc(N_IN * n * sizeof(double));
     if (X == NULL)
         PyErr_NoMemory();
-    else if (build_rows(v + 3, x0, X) == 0) {
-        double *th = v[0].buf, *m = v[1].buf, *s = v[2].buf, g[N_PARAMS], sq = 0.0;
-        const double *e = v[4].buf;
+    else if (build_rows(a + 3, x0, X, N_IN * n) == 0) {
+        double *th = a[0].view.buf, *m = a[1].view.buf, *s = a[2].view.buf, g[N_PARAMS], sq = 0.0;
+        const double *e = a[4].view.buf;
         Py_ssize_t k = 0, nb;
         int diverged = 0;
         for (Py_ssize_t lo = 0; lo < n; lo += nb, k++) {
@@ -381,13 +314,13 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
             if ((diverged = !isfinite(loss)))
                 break;
             sq += loss * (double)nb;
-            adam_body(th, m, s, g, &p, ++step, th, m, s);
+            adam_body(th, m, s, g, &p, ++step);
         }
         result = diverged ? Py_BuildValue("(dLn)", sq, step, k)
                           : Py_BuildValue("(dLO)", sq, step, Py_None);
     }
     PyMem_Free(X);
-    release(v, 6);
+    release(a, 6);
     return result;
 }
 
@@ -397,7 +330,8 @@ static PyMethodDef methods[] = {
     {"loss_and_grad", loss_and_grad, METH_VARARGS,
      "loss_and_grad(theta, X, y, grad) -> loss: the mean squared error; its gradient into grad."},
     {"adam", adam, METH_VARARGS,
-     "adam(theta, m, v, grad, lr, beta1, beta2, eps, t, theta_out, m_out, v_out)."},
+     "adam(theta, m, v, grad, lr, beta1, beta2, eps, t): Adam step t, in place on theta, m"
+     " and v."},
     {"rows", rows, METH_VARARGS,
      "rows(ts, eps, x0, alpha_bar, out): the training rows (x_t, t / T) into out."},
     {"train_epoch", train_epoch, METH_VARARGS,

@@ -224,7 +224,7 @@ def _cmd_run(args) -> int:
     if args.experiment == "table1":
         distributions = table1_distributions()
     elif args.experiment == "table2":
-        distributions = table2_distributions(cfg.normalize_mixture)
+        distributions = table2_distributions()
     else:
         distributions = [(cfg.noise.label(), cfg.noise)]
 

@@ -97,12 +97,11 @@ def loss_and_grad_arrays(
 def adam_step(
     theta: np.ndarray, s: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure (returns a fresh theta and state)."""
-    new = AdamState(np.empty(N_PARAMS), np.empty(N_PARAMS), s.step_count + 1)
-    theta_new = np.empty(N_PARAMS)
-    _kernel().adam(_f64(theta), _f64(s.m), _f64(s.v), _f64(grads), lr, ADAM_BETA1, ADAM_BETA2,
-                   ADAM_EPS, new.step_count, theta_new, new.m, new.v)
-    return theta_new, new
+    """One bias-corrected Adam update; pure: the kernel steps copies of theta and ``s``."""
+    theta, m, v = (np.array(a, dtype=np.float64) for a in (theta, s.m, s.v))
+    t = s.step_count + 1
+    _kernel().adam(theta, m, v, _f64(grads), lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t)
+    return theta, AdamState(m, v, t)
 
 
 _FUSED = (loss_and_grad_arrays, adam_step)  # what train_epoch runs in one kernel call

@@ -85,7 +85,7 @@ def test_run_artifacts_match_reference(tmp_path, workload, seed, workers):
 
 def test_sampler_output_matches_digest():
     c = cli.parse_config(BENCH / "workloads" / "sample.json", {"base_seed": 0})
-    c = replace(c, noise=dict(table2_distributions(c.normalize_mixture))["mix0.5"])
+    c = replace(c, noise=dict(table2_distributions())["mix0.5"])
     params, _ = train_trial(c, 0)
     x0_hats, mask = generate_block(
         mlp_predictor(params, c.steps), c.gens_per_trial, c.schedule(),

@@ -255,8 +255,10 @@ def test_summarize_rejects_empty():
 def test_table_distribution_sets():
     assert [label for label, _ in table1_distributions()] == ["gaussian", "uniform", "arcsine"]
     assert [label for label, _ in table2_distributions()] == ["gaussian", "mix0.9", "mix0.5"]
-    for _, spec in table2_distributions(normalize=True)[1:]:
-        assert spec.normalize
+    # a config with normalize_mixture normalizes the mixtures replaced into it
+    norm = ExperimentConfig(normalize_mixture=True)
+    for _, spec in table2_distributions()[1:]:
+        assert not spec.normalize and replace(norm, noise=spec).noise.normalize
 
 
 def test_run_suite_smoke():
@@ -273,7 +275,8 @@ def test_run_table_wrappers():
     cfg = tiny_cfg(trials=1, epochs=1)
     rows1 = [run.summary for run in run_suite(cfg, table1_distributions())]
     assert [s.label for s in rows1] == ["gaussian", "uniform", "arcsine"]
-    rows2 = [run.summary for run in run_suite(cfg, table2_distributions(normalize=True))]
+    norm = replace(cfg, normalize_mixture=True)
+    rows2 = [run.summary for run in run_suite(norm, table2_distributions())]
     assert [s.label for s in rows2] == ["gaussian", "mix0.9", "mix0.5"]
     for s in rows1 + rows2:
         assert s.n_trials == 1
@@ -283,10 +286,10 @@ def test_matched_seeds_across_distributions():
     # same trial index => identical weight init regardless of the noise family
     cfg = tiny_cfg(trials=1, epochs=1)
     init = init_params(seed_stream(cfg.base_seed, 0))
-    families = table1_distributions() + table2_distributions() + table2_distributions(True)
-    for label, spec in families:
-        theta, _ = train_trial(replace(cfg, noise=spec, epochs=0), 0)
-        assert np.array_equal(theta, init), label
+    for base in (cfg, replace(cfg, normalize_mixture=True)):
+        for label, spec in table1_distributions() + table2_distributions():
+            theta, _ = train_trial(replace(base, noise=spec, epochs=0), 0)
+            assert np.array_equal(theta, init), label
     # and training from it then depends on the noise
     runs = run_suite(cfg, table1_distributions(), workers=1)
     assert not np.array_equal(runs[0].first_trial_params, runs[1].first_trial_params)

@@ -249,9 +249,7 @@ def test_flags_do_not_move_the_bits(tmp_path):
             X, y = inputs(t, 64)
             grad = np.empty(N_PARAMS)
             k.loss_and_grad(theta, X, y, grad)
-            out = [np.empty(N_PARAMS) for _ in range(3)]
-            k.adam(theta, m, v, grad, 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t, *out)
-            theta, m, v = out
+            k.adam(theta, m, v, grad, 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t)
         # and whole epochs, rows built in the kernel
         for epoch in range(3):
             ts, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
@@ -265,6 +263,14 @@ def test_flags_do_not_move_the_bits(tmp_path):
     base.forward(thetas[0], X, outs[0])
     native.forward(thetas[0], X, outs[1])
     assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    # -Wextra is left out: it warns on the unused ``self`` of every entry
+    k = kernel.load(tmp_path, (*kernel.FLAGS, "-Wall", "-Werror"))
+    out = np.empty(1)
+    k.forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
+    assert out[0] == 81.0
 
 
 def test_another_compiler_gets_a_build_of_its_own(tmp_path, monkeypatch):
@@ -500,3 +506,66 @@ def test_train_epoch_checks_its_other_arguments():
     with pytest.raises(ValueError, match="learning rate must be > 0, got nan"):
         train_epoch(theta, s, ts, eps, 7.0, ab, 64, float("nan"))
     assert s.step_count == 0 and not s.m.any()
+
+
+def valid_call(entry):
+    """The arguments of a valid call of the kernel entry ``entry``, by name, in
+    order."""
+    X, y = inputs(3, 16)
+    ts, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(3, 1))
+    ts[0] = 500  # with one alpha_bar value fewer, this step is out of range
+    theta, ab = random_theta(3), SCHED.alpha_bar.copy()
+    m, v, grad = (np.full(N_PARAMS, c) for c in (0.1, 0.2, 0.3))
+    adam = {"lr": 1e-3, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
+    return {
+        "forward": {"theta": theta, "X": X, "out": np.zeros(16)},
+        "loss_and_grad": {"theta": theta, "X": X, "y": y, "grad": np.zeros(N_PARAMS)},
+        "adam": {"theta": theta, "m": m, "v": v, "grad": grad, **adam, "t": 1},
+        "rows": {"ts": ts, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
+        "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "ts": ts, "eps": eps,
+                        "x0": 7.0, "alpha_bar": ab, "batch_size": 8, **adam},
+    }[entry]
+
+
+WRITTEN = {"forward": {"out"}, "loss_and_grad": {"grad"}, "adam": {"theta", "m", "v"},
+           "rows": {"out"}, "train_epoch": {"theta", "m", "v"}}
+FAULTS = {
+    "kind": lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.float32),
+    "length": lambda a: a[:-1],  # one value, or one row, fewer
+    "read-only": read_only,
+}
+
+
+def expected_error(entry, name, fault):
+    """The exception and message a call with ``name`` made bad by ``fault`` raises."""
+    if fault == "kind":
+        return ValueError, rf"^{name} must be an? (float64|int64) array$"
+    if fault == "read-only":
+        return (ValueError, BufferError), "read-only"
+    if name in ("theta", "m", "v", "grad"):
+        return ValueError, rf"^{name} must hold 129 values$"
+    if name in ("ts", "eps"):
+        return ValueError, "^eps must hold one value per step in ts$"
+    if name == "alpha_bar":  # it may hold any number of steps
+        return IndexError, r"^step 500 \(index 0\) outside 1\.\.499$"
+    if entry == "rows":
+        return ValueError, "^out must hold two values per step in ts$"
+    return ValueError, r"^X must be an \(n, 2\) array with one row per target$"
+
+
+@pytest.mark.parametrize("entry, name, fault", [
+    (entry, name, fault)
+    for entry in WRITTEN
+    for name, a in valid_call(entry).items() if isinstance(a, np.ndarray)
+    for fault in FAULTS if fault != "read-only" or name in WRITTEN[entry]
+])
+def test_every_array_argument_is_checked_before_use_and_released(entry, name, fault):
+    call = valid_call(entry)
+    call[name] = FAULTS[fault](call[name].copy())
+    arrays = {k: a for k, a in call.items() if isinstance(a, np.ndarray)}
+    # a buffer that an error path borrows and does not release holds a reference
+    before = {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()}
+    exc, match = expected_error(entry, name, fault)
+    with pytest.raises(exc, match=match):
+        getattr(mlp._kernel(), entry)(*call.values())
+    assert {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()} == before
