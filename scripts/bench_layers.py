@@ -24,7 +24,13 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
 - ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
-  config (2000 chains of 500 steps) on weights trained there for 100 epochs.
+  config (2000 chains of 500 steps) on weights trained there for 100 epochs;
+- ``reverse_step``: one step of that evaluation's reverse chains at t = 250,
+  ``diffusion.reverse_mean`` with the same trained ``mlp_predictor`` and then
+  the gaussian noise add, on 2000 chains;
+- ``write_csv``: ``cli.write_csv`` of the ``fanout`` workload's 600 trial rows
+  (table1's three families, 200 trials each) and their 3 summary rows, into a
+  temporary directory.
 
 The output is one JSON object keyed by entry. ``--tiny`` shrinks every input,
 and the repeats to 3, for a smoke run of a few milliseconds.
@@ -35,12 +41,14 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
-from ddpm1d import mlp
-from ddpm1d.experiment import ExperimentConfig, evaluate_trial, train_trial
+from ddpm1d import cli, diffusion, mlp
+from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, summarize,
+                               table1_distributions, train_trial)
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
@@ -61,6 +69,7 @@ def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str)
 
 def measure(tiny: bool) -> dict:
     rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
+    fanout_trials = 2 if tiny else 200  # per table1 family
     draws = 20 if tiny else 1000  # one epoch's samples
     repeats = 3 if tiny else 15
     calls = 5 if tiny else 200  # per block, for the microsecond-scale entries
@@ -84,6 +93,22 @@ def measure(tiny: bool) -> dict:
     us, ms = 1e3, 1e6
     families = (NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
                 NoiseSpec("mixture", mix_prob=0.5))
+    # halfway down evaluate_trial's chains: t = 250 of 500
+    sched, gaussian, t = eval_cfg.schedule(), families[0], steps // 2
+    pred, x_t = diffusion.mlp_predictor(trained, steps), sample_block(gaussian, chains, g)
+
+    def reverse_step():  # generate_block's step
+        x = diffusion.reverse_mean(pred, x_t, t, sched)
+        x += np.sqrt(sched.beta[t - 1]) * sample_block(gaussian, chains, g)
+
+    losses, errors = g.uniforms(fanout_trials), g.uniforms(fanout_trials)
+    trials = [TrialResult(i, 0, float(losses[i]), float(errors[i]), False)
+              for i in range(fanout_trials)]
+    trial_rows = [("table1", label, r) for label, _ in table1_distributions() for r in trials]
+    summary_rows = [("table1", summarize(trials, label)) for label, _ in table1_distributions()]
+    with tempfile.TemporaryDirectory() as out_dir:
+        write_csv = timed(lambda: cli.write_csv(trial_rows, summary_rows, out_dir), repeats,
+                          calls // 10 or 1, ms, {"rows": len(trial_rows)}, "ms")
     noise = {f"sample_block.{spec.label()}":
              timed(lambda spec=spec: sample_block(spec, rows, g), repeats, calls // 10 or 1,
                    us, {"draws": rows}, "us")
@@ -108,6 +133,9 @@ def measure(tiny: bool) -> dict:
                               "batch_size": batch}, "ms"),
         "evaluate_trial": timed(lambda: evaluate_trial(trained, eval_cfg, 0), repeats, 1, ms,
                                 {"chains": chains, "steps": steps, "family": "gaussian"}, "ms"),
+        "reverse_step": timed(reverse_step, repeats, calls // 10 or 1, us,
+                              {"chains": chains, "t": t, "family": "gaussian"}, "us"),
+        "write_csv": write_csv,
     }
 
 

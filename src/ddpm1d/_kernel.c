@@ -1,9 +1,9 @@
 /* The network arithmetic behind ddpm1d.mlp: the forward pass, the mean squared
  * error with its exact gradient, and the Adam update, in place on theta and its
  * moments, for the 2-32-1 ReLU network on the flat 129-value theta [W1 rows
- * (32 x 2), b1 (32), W2 (32), b2]; and train_epoch, which builds an epoch's
- * (x_t, t / T) rows and runs every minibatch's loss, gradient and Adam step in
- * place, in one call.
+ * (32 x 2), b1 (32), W2 (32), b2]; rows, which builds an epoch's (x_t, t / T)
+ * training rows; and train_epoch, which runs every minibatch's loss, gradient
+ * and Adam step over those rows in place, in one call.
  *
  * Every sum runs in one fixed order, written out below, and the module is
  * compiled with -ffp-contract=off, so that no multiply-add is fused: the bits
@@ -15,8 +15,8 @@
  * with zero rows. The entries loss_and_grad, adam and train_epoch share one
  * loss-and-gradient body and one Adam body. Each entry lists its array
  * arguments in one table of arg descriptors, and borrow checks them all, as
- * C-contiguous float64 (or, for train_epoch's steps, int64) buffers of the
- * right length, before anything is read or written.
+ * C-contiguous float64 (or, for the steps of rows, int64) buffers of the right
+ * length, before anything is read or written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -231,36 +231,12 @@ static PyObject *adam(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* The training rows into X, of len values, from a[0..2] = ts, eps and
- * alpha_bar: row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
- * t = ts[i], ab = alpha_bar[t - 1] and T is alpha_bar's length; numpy's
- * operations in numpy's order. Lengths other than one eps value and one row
- * per step raise ValueError before X is written, and a step outside 1..T stops
- * it with IndexError. */
-static int build_rows(const arg *a, double x0, double *X, Py_ssize_t len)
-{
-    const long long *ts = a[0].view.buf;
-    const double *e = a[1].view.buf, *ab = a[2].view.buf;
-    const Py_ssize_t n = COUNT(a[0]), T = COUNT(a[2]);
-    const char *msg = COUNT(a[1]) != n ? "eps must hold one value per step in ts"
-                      : len != N_IN * n ? "out must hold two values per step in ts"
-                      : NULL;
-    if (msg != NULL) {
-        PyErr_SetString(PyExc_ValueError, msg);
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (ts[i] < 1 || ts[i] > T) {
-            PyErr_Format(PyExc_IndexError, "step %lld (index %zd) outside 1..%zd", ts[i], i, T);
-            return -1;
-        }
-        const double a = ab[ts[i] - 1];
-        X[N_IN * i] = sqrt(a) * x0 + sqrt(1.0 - a) * e[i];
-        X[N_IN * i + 1] = (double)ts[i] / (double)T;
-    }
-    return 0;
-}
-
+/* The training rows (x_t, t / T) into out, one per step in ts, with noise eps:
+ * row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where t = ts[i],
+ * ab = alpha_bar[t - 1] and T is alpha_bar's length; numpy's operations in
+ * numpy's order. Lengths other than one eps value and one row per step raise
+ * ValueError before out is written, and a step outside 1..T stops it with
+ * IndexError. */
 static PyObject *rows(PyObject *self, PyObject *args)
 {
     arg a[] = {{"ts", 'q'}, {"eps", 'd'}, {"alpha_bar", 'd'}, {"out", 'd', 1}};
@@ -268,49 +244,58 @@ static PyObject *rows(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOdOO:rows", &a[0].obj, &a[1].obj, &x0, &a[2].obj, &a[3].obj) ||
         borrow(a, 4) < 0)
         return NULL;
-    const int rc = build_rows(a, x0, a[3].view.buf, COUNT(a[3]));
+    const long long *ts = a[0].view.buf;
+    const double *e = a[1].view.buf, *ab = a[2].view.buf;
+    double *X = a[3].view.buf;
+    const Py_ssize_t n = COUNT(a[0]), T = COUNT(a[2]);
+    Py_ssize_t i = -1;  /* the rows written; -1 if a length is wrong */
+    if (COUNT(a[1]) != n)
+        PyErr_SetString(PyExc_ValueError, "eps must hold one value per step in ts");
+    else if (COUNT(a[3]) != N_IN * n)
+        PyErr_SetString(PyExc_ValueError, "out must hold two values per step in ts");
+    else
+        for (i = 0; i < n && ts[i] >= 1 && ts[i] <= T; i++) {
+            const double c = ab[ts[i] - 1];
+            X[N_IN * i] = sqrt(c) * x0 + sqrt(1.0 - c) * e[i];
+            X[N_IN * i + 1] = (double)ts[i] / (double)T;
+        }
+    if (i >= 0 && i < n)
+        PyErr_Format(PyExc_IndexError, "step %lld (index %zd) outside 1..%zd", ts[i], i, T);
     release(a, 4);
-    return rc < 0 ? NULL : Py_NewRef(Py_None);
+    return i == n ? Py_NewRef(Py_None) : NULL;
 }
 
-/* One training epoch, in place on theta, m and v: the rows, as build_rows makes
- * them, with targets eps; then, for each run of batch_size rows (the last one
- * possibly short), mse_grad and Adam step step + 1. Returns (the losses times
- * their row counts, summed in order; the new step; None), or, at the first
- * minibatch whose loss is not finite, its index in place of None: its step is
- * not taken. Nothing is written before every argument has been checked. */
+/* One training epoch, in place on theta, m and v, on the rows X with targets y:
+ * for each run of batch_size rows (the last one possibly short), mse_grad and
+ * Adam step step + 1. Returns (the losses times their row counts, summed in
+ * order; the new step; None), or, at the first minibatch whose loss is not
+ * finite, its index in place of None: its step is not taken. Nothing is
+ * written before every argument has been checked. */
 static PyObject *train_epoch(PyObject *self, PyObject *args)
 {
     arg a[] = {{"theta", 'd', 1, N_PARAMS}, {"m", 'd', 1, N_PARAMS}, {"v", 'd', 1, N_PARAMS},
-               {"ts", 'q'}, {"eps", 'd'}, {"alpha_bar", 'd'}};
+               {"X", 'd'}, {"y", 'd'}};
     adam_params p;
     long long step;
-    double x0;
     Py_ssize_t batch;
-    if (!PyArg_ParseTuple(args, "OOOLOOdOndddd:train_epoch", &a[0].obj, &a[1].obj, &a[2].obj,
-                          &step, &a[3].obj, &a[4].obj, &x0, &a[5].obj, &batch, &p.lr, &p.b1,
-                          &p.b2, &p.eps) ||
+    if (!PyArg_ParseTuple(args, "OOOLOOndddd:train_epoch", &a[0].obj, &a[1].obj, &a[2].obj,
+                          &step, &a[3].obj, &a[4].obj, &batch, &p.lr, &p.b1, &p.b2, &p.eps) ||
         check_lr(p.lr) < 0)
         return NULL;
-    if (batch < 1) {
+    if (batch < 1)
         PyErr_SetString(PyExc_ValueError, "batch_size must be >= 1");
+    if (batch < 1 || borrow(a, 5) < 0)
         return NULL;
-    }
-    if (borrow(a, 6) < 0)
-        return NULL;
-    const Py_ssize_t n = COUNT(a[3]);
+    const Py_ssize_t n = COUNT(a[4]);
     PyObject *result = NULL;
-    double *X = PyMem_Malloc(N_IN * n * sizeof(double));
-    if (X == NULL)
-        PyErr_NoMemory();
-    else if (build_rows(a + 3, x0, X, N_IN * n) == 0) {
+    if (check_X(&a[3], n) == 0) {
         double *th = a[0].view.buf, *m = a[1].view.buf, *s = a[2].view.buf, g[N_PARAMS], sq = 0.0;
-        const double *e = a[4].view.buf;
+        const double *X = a[3].view.buf, *y = a[4].view.buf;
         Py_ssize_t k = 0, nb;
         int diverged = 0;
         for (Py_ssize_t lo = 0; lo < n; lo += nb, k++) {
             nb = n - lo < batch ? n - lo : batch;
-            const double loss = mse_grad(th, X + N_IN * lo, e + lo, nb, g);
+            const double loss = mse_grad(th, X + N_IN * lo, y + lo, nb, g);
             if ((diverged = !isfinite(loss)))
                 break;
             sq += loss * (double)nb;
@@ -319,8 +304,7 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
         result = diverged ? Py_BuildValue("(dLn)", sq, step, k)
                           : Py_BuildValue("(dLO)", sq, step, Py_None);
     }
-    PyMem_Free(X);
-    release(a, 6);
+    release(a, 5);
     return result;
 }
 
@@ -335,9 +319,8 @@ static PyMethodDef methods[] = {
     {"rows", rows, METH_VARARGS,
      "rows(ts, eps, x0, alpha_bar, out): the training rows (x_t, t / T) into out."},
     {"train_epoch", train_epoch, METH_VARARGS,
-     "train_epoch(theta, m, v, step, ts, eps, x0, alpha_bar, batch_size, lr, beta1, beta2,"
-     " adam_eps)"
-     " -> (sum of squared errors, step, None or the diverged minibatch)."},
+     "train_epoch(theta, m, v, step, X, y, batch_size, lr, beta1, beta2, adam_eps) -> (sum of"
+     " squared errors, step, None or the diverged minibatch): the epoch's Adam steps on X."},
     {NULL, NULL, 0, NULL},
 };
 

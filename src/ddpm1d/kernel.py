@@ -65,13 +65,13 @@ def compiler_version(cc: str) -> str | None:
 
 def _private_and_writable(d: Path) -> bool:
     """Whether ``d`` is, or can be made, a directory that this user owns and
-    may write and that not everyone may write: a build found there is loaded."""
+    may write and that its group and others may not: a build found there is loaded."""
     try:
         d.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = d.stat()
     except OSError:
         return False
-    return st.st_uid == os.getuid() and not st.st_mode & 0o002 and os.access(d, os.W_OK)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(d, os.W_OK)
 
 
 def _build(path: Path, flags: tuple[str, ...]) -> None:

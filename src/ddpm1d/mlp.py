@@ -5,7 +5,8 @@ and the Adam step are written out by hand, in C (``_kernel.c``, built on first
 use by the ``kernel`` module); there is no autodiff anywhere. The parameters
 are one flat (129,) float64 vector theta in [W1 rows, b1, W2, b2] order, the
 weight-dump order. Nothing wraps it: init_params and adam_step return a fresh
-one, and train_epoch, one call per epoch, updates it and the AdamState in place.
+one, and train_epoch, one call per epoch, builds the epoch's rows and then
+updates it and the AdamState in place.
 The kernel reads C-contiguous float64 buffers; read-only array arguments are
 converted to that, with no copy when they already are.
 """
@@ -113,20 +114,19 @@ def train_epoch(theta: np.ndarray, s: AdamState, ts: np.ndarray, eps: np.ndarray
 
     Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], ts[i] / T), with
     ab = alpha_bar[ts[i] - 1] and T = len(alpha_bar); a step outside 1..T raises IndexError.
-    Each run of ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays and an
-    adam_step, bit for bit, fused in one kernel call; a rebound name (a profiler's timer, say)
-    is called per minibatch instead. Returns the losses times their row counts, summed in
-    order, and None; or, at the first non-finite loss, the sum before it and its minibatch
-    index, its step not taken. theta, ``s.m`` and ``s.v`` must be writable C-contiguous
-    float64 arrays and ``ts`` an int64 one: none is copied.
+    The kernel builds the rows; then each run of ``batch_size`` rows, the last possibly short,
+    is a loss_and_grad_arrays and an adam_step, bit for bit, all in one more kernel call; a
+    rebound name (a profiler's timer, say) is called per minibatch instead. Returns the losses
+    times their row counts, summed in order, and None; or, at the first non-finite loss, the
+    sum before it and its minibatch index, its step not taken. theta, ``s.m`` and ``s.v`` must
+    be writable C-contiguous float64 arrays and ``ts`` an int64 one: none is copied.
     """
+    eps, X = _f64(eps), np.empty((len(ts), N_IN))
+    _kernel().rows(ts, eps, x0, _f64(alpha_bar), X)
     if (loss_and_grad_arrays, adam_step) == _FUSED:
         sq_err, s.step_count, bad = _kernel().train_epoch(
-            theta, s.m, s.v, s.step_count, ts, _f64(eps), x0, _f64(alpha_bar), batch_size, lr,
-            ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            theta, s.m, s.v, s.step_count, X, eps, batch_size, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         return sq_err, bad
-    X = np.empty((len(ts), N_IN))
-    _kernel().rows(ts, _f64(eps), x0, _f64(alpha_bar), X)
     sq_err = 0.0
     for k, lo in enumerate(range(0, len(ts), batch_size)):
         y = eps[lo : lo + batch_size]

@@ -13,11 +13,13 @@ with it bit for bit, up to the sign and payload of a NaN.
 """
 
 import math
+import re
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,8 +255,10 @@ def test_flags_do_not_move_the_bits(tmp_path):
         # and whole epochs, rows built in the kernel
         for epoch in range(3):
             ts, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
-            k.train_epoch(theta, m, v, 300 + 16 * epoch, ts, eps, 7.0, SCHED.alpha_bar, 64,
-                          1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            X = np.empty((1000, 2))
+            k.rows(ts, eps, 7.0, SCHED.alpha_bar, X)
+            k.train_epoch(theta, m, v, 300 + 16 * epoch, X, eps, 64, 1e-3, ADAM_BETA1,
+                          ADAM_BETA2, ADAM_EPS)
         thetas.append(theta)
     assert thetas[0].tobytes() == thetas[1].tobytes()
     # the forward pass at a row count that leaves a partial block at any vector width
@@ -298,6 +302,30 @@ def test_two_processes_building_a_cold_cache_at_once(tmp_path):
     assert [p.returncode for p in procs] == [0, 0]
     assert outs[0] == outs[1] == "81.0\n"  # 32 units of (1 + 0.5 + 1), plus 1
     assert len(list(tmp_path.iterdir())) == 1  # one published build, no temporary left
+
+
+@pytest.mark.parametrize("mode", [0o777, 0o770, "file"], ids=["0o777", "0o770", "file"])
+def test_a_cache_others_may_write_is_refused(tmp_path, mode):
+    # a build planted there by another user would be loaded and run
+    cache = tmp_path / "cache"
+    if mode == "file":
+        cache.write_bytes(b"")
+    else:
+        cache.mkdir()
+        cache.chmod(mode)
+    with pytest.raises(OSError, match=rf"^cannot build the network kernel: {re.escape(str(cache))}"
+                                      " is not a private, writable directory$"):
+        kernel.load(cache)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert cache.is_file() or list(cache.iterdir()) == []
+
+
+def test_a_private_cache_is_loaded(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    out = np.empty(1)
+    kernel.load(cache).forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
+    assert out[0] == 81.0 and len(list(cache.iterdir())) == 1
 
 
 @pytest.mark.parametrize("missing", ["compiler", "headers"])
@@ -428,6 +456,22 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
     assert bad is not None and f"minibatch {bad}" in str(err.value)
 
 
+def counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def count_minibatch_calls(monkeypatch):
+    """Rebinds mlp's loss_and_grad_arrays and adam_step to counting wrappers, so
+    that train_epoch takes its per-minibatch path; returns the counts."""
+    calls = {"loss": 0, "adam": 0}
+    monkeypatch.setattr(mlp, "loss_and_grad_arrays", counting(calls, "loss", loss_and_grad_arrays))
+    monkeypatch.setattr(mlp, "adam_step", counting(calls, "adam", adam_step))
+    return calls
+
+
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.label())
 def test_rebound_loss_and_adam_see_every_minibatch_and_move_no_bit(spec, monkeypatch):
     cfg = ExperimentConfig(epochs=5, samples_per_epoch=200, batch_size=64, steps=50, noise=spec)
@@ -435,16 +479,7 @@ def test_rebound_loss_and_adam_see_every_minibatch_and_move_no_bit(spec, monkeyp
     fused_theta, fused_loss = train_trial(cfg, 1)
     with pytest.raises(DivergenceError) as fused_err:
         train_trial(diverging, 0)
-    calls = {"loss": 0, "adam": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(mlp, "loss_and_grad_arrays", counting("loss", loss_and_grad_arrays))
-    monkeypatch.setattr(mlp, "adam_step", counting("adam", adam_step))
+    calls = count_minibatch_calls(monkeypatch)
     theta, loss = train_trial(cfg, 1)
     assert theta.tobytes() == fused_theta.tobytes() and loss == fused_loss
     # 200 rows in batches of 64: three full minibatches and a remainder of 8
@@ -454,15 +489,26 @@ def test_rebound_loss_and_adam_see_every_minibatch_and_move_no_bit(spec, monkeyp
     assert (err.value.step, str(err.value)) == (fused_err.value.step, str(fused_err.value))
 
 
-@pytest.mark.parametrize("bad_step", [0, 501, -3])
-def test_train_epoch_steps_outside_1_to_T_raise_index_error(bad_step):
+# the fused path's cases are named by the step alone
+@pytest.mark.parametrize("bad_step, path", [
+    pytest.param(bad_step, path, id=str(bad_step) if path == "fused" else f"{path}{bad_step}")
+    for path in ("fused", "rebound") for bad_step in (0, 501, -3)
+])
+def test_train_epoch_steps_outside_1_to_T_raise_index_error(bad_step, path, monkeypatch):
+    k = mlp._kernel()
+    calls = count_minibatch_calls(monkeypatch) if path == "rebound" else {}
+    calls["epoch"] = 0  # the fused path's one kernel call for all its minibatches
+    monkeypatch.setattr(mlp, "_kernel", lambda: SimpleNamespace(
+        rows=k.rows, train_epoch=counting(calls, "epoch", k.train_epoch)))
     theta, s = random_theta(0), AdamState.zeros()
     before = theta.copy()
     ts, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
     ts[37] = bad_step  # one bad step anywhere in the block
-    with pytest.raises(IndexError, match=rf"step {bad_step} \(index 37\) outside 1\.\.500"):
+    with pytest.raises(IndexError, match=rf"^step {bad_step} \(index 37\) outside 1\.\.500$"):
         train_epoch(theta, s, ts, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
-    assert theta.tobytes() == before.tobytes() and s.step_count == 0 and not s.m.any()
+    assert theta.tobytes() == before.tobytes() and s.step_count == 0
+    assert not s.m.any() and not s.v.any()
+    assert not any(calls.values()), calls
     with pytest.raises(IndexError):
         mlp._kernel().rows(ts, eps, 7.0, SCHED.alpha_bar, np.empty((100, 2)))
 
@@ -522,8 +568,8 @@ def valid_call(entry):
         "loss_and_grad": {"theta": theta, "X": X, "y": y, "grad": np.zeros(N_PARAMS)},
         "adam": {"theta": theta, "m": m, "v": v, "grad": grad, **adam, "t": 1},
         "rows": {"ts": ts, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
-        "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "ts": ts, "eps": eps,
-                        "x0": 7.0, "alpha_bar": ab, "batch_size": 8, **adam},
+        "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "X": X, "y": y,
+                        "batch_size": 8, **adam},
     }[entry]
 
 
