@@ -16,10 +16,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   mix0.5;
 - ``uniforms`` and ``gaussians``: ``RngStream.uniforms`` and
   ``RngStream.gaussians`` of 1000 draws (one training epoch's worth);
-- ``timesteps``: an epoch's timesteps, ``floor(u * T) + 1`` as int64 on 1000
-  uniforms drawn once, at the reference T = 500;
-- ``rows``: the kernel's build of an epoch's 1000 (x_t, t / T) training rows
-  from those timesteps and a gaussian noise block, the first part of
+- ``rows``: the kernel's build of an epoch's 1000 (x_t, t / T) training rows,
+  timesteps ``t = floor(u * T) + 1`` included, from 1000 uniforms drawn once
+  and a gaussian noise block, at the reference T = 500: the first part of
   ``mlp.train_epoch``;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
@@ -86,8 +85,7 @@ def measure(tiny: bool) -> dict:
     eval_cfg = ExperimentConfig(epochs=2 if tiny else 100, gens_per_trial=chains, steps=steps,
                                 trials=1)
     trained, _ = train_trial(eval_cfg, 0)
-    u = g.uniforms(draws)
-    ts, eps = np.floor(u * steps).astype(np.int64) + 1, g.gaussians(draws)
+    u, eps = g.uniforms(draws), g.gaussians(draws)
     out = np.empty((draws, 2))
     alpha_bar = train_cfg.schedule().alpha_bar
     us, ms = 1e3, 1e6
@@ -124,9 +122,7 @@ def measure(tiny: bool) -> dict:
         "uniforms": timed(lambda: g.uniforms(draws), repeats, calls, us, {"draws": draws}, "us"),
         "gaussians": timed(lambda: g.gaussians(draws), repeats, calls, us, {"draws": draws},
                            "us"),
-        "timesteps": timed(lambda: np.floor(u * steps).astype(np.int64) + 1, repeats, calls, us,
-                           {"draws": draws, "T": steps}, "us"),
-        "rows": timed(lambda: mlp._kernel().rows(ts, eps, 7.0, alpha_bar, out), repeats, calls,
+        "rows": timed(lambda: mlp._kernel().rows(u, eps, 7.0, alpha_bar, out), repeats, calls,
                       us, {"rows": draws, "T": steps}, "us"),
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,

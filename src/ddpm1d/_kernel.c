@@ -1,9 +1,9 @@
-/* The network arithmetic behind ddpm1d.mlp: the forward pass, the mean squared
- * error with its exact gradient, and the Adam update, in place on theta and its
- * moments, for the 2-32-1 ReLU network on the flat 129-value theta [W1 rows
- * (32 x 2), b1 (32), W2 (32), b2]; rows, which builds an epoch's (x_t, t / T)
- * training rows; and train_epoch, which runs every minibatch's loss, gradient
- * and Adam step over those rows in place, in one call.
+/* The network arithmetic behind ddpm1d.mlp, for the 2-32-1 ReLU network on the
+ * flat 129-value theta [W1 rows (32 x 2), b1 (32), W2 (32), b2]: the forward
+ * pass, the mean squared error with its exact gradient, and the Adam update with
+ * fixed BETA1, BETA2 and ADAM_EPS, in place on theta and its moments; rows, an
+ * epoch's (x_t, t / T) training rows from its timestep uniforms; and train_epoch,
+ * every minibatch's loss, gradient and Adam step over those rows, in one call.
  *
  * Every sum runs in one fixed order, written out below, and the module is
  * compiled with -ffp-contract=off, so that no multiply-add is fused: the bits
@@ -15,8 +15,8 @@
  * with zero rows. The entries loss_and_grad, adam and train_epoch share one
  * loss-and-gradient body and one Adam body. Each entry lists its array
  * arguments in one table of arg descriptors, and borrow checks them all, as
- * C-contiguous float64 (or, for the steps of rows, int64) buffers of the right
- * length, before anything is read or written.
+ * C-contiguous float64 buffers of the right length, before anything is read or
+ * written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -30,13 +30,15 @@
 #define OFF_W2 (OFF_B1 + HIDDEN)
 #define OFF_B2 (OFF_W2 + HIDDEN)
 #define BLOCK 8
+#define BETA1 0.9
+#define BETA2 0.999
+#define ADAM_EPS 1e-8
 
-/* One array argument: its name, its kind ('d': float64, 'q': int64), whether it
- * is written, and the number of values it must hold (0: any); then the object
- * and, once borrowed, its buffer. */
+/* One float64 array argument: its name, whether it is written, and the number
+ * of values it must hold (0: any); then the object and, once borrowed, its
+ * buffer. */
 typedef struct {
     const char *name;
-    char kind;
     int writable;
     Py_ssize_t want;
     PyObject *obj;
@@ -51,9 +53,9 @@ static void release(arg *a, int k)
         PyBuffer_Release(&a[k].view);
 }
 
-/* Borrow a[0..k-1]'s buffers, each C-contiguous 8-byte values of its kind,
- * writable if it is written and holding its count; on any failure, release
- * those already borrowed. */
+/* Borrow a[0..k-1]'s buffers, each C-contiguous float64 values, writable if it
+ * is written and holding its count; on any failure, release those already
+ * borrowed. */
 static int borrow(arg *a, int k)
 {
     for (int i = 0; i < k; i++) {
@@ -62,12 +64,9 @@ static int borrow(arg *a, int k)
             release(a, i);
             return -1;
         }
-        const char kind = a[i].kind;
         const char *f = a[i].view.format;
-        if (a[i].view.itemsize != 8 || f == NULL || f[0] == '\0' || f[1] != '\0' ||
-            !(f[0] == kind || (kind == 'q' && f[0] == 'l')))
-            PyErr_Format(PyExc_ValueError, "%s must be a%s array", a[i].name,
-                         kind == 'd' ? " float64" : "n int64");
+        if (a[i].view.itemsize != 8 || f == NULL || strcmp(f, "d") != 0)
+            PyErr_Format(PyExc_ValueError, "%s must be a float64 array", a[i].name);
         else if (a[i].want != 0 && COUNT(a[i]) != a[i].want)
             PyErr_Format(PyExc_ValueError, "%s must hold %zd values", a[i].name, a[i].want);
         else
@@ -114,7 +113,7 @@ static void forward_block(const double *th, const double *X, Py_ssize_t m,
 
 static PyObject *forward(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"theta", 'd', 0, N_PARAMS}, {"X", 'd'}, {"out", 'd', 1}};
+    arg a[] = {{"theta", 0, N_PARAMS}, {"X"}, {"out", 1}};
     if (!PyArg_ParseTuple(args, "OOO:forward", &a[0].obj, &a[1].obj, &a[2].obj) ||
         borrow(a, 3) < 0)
         return NULL;
@@ -169,7 +168,7 @@ static double mse_grad(const double *th, const double *x, const double *yy, Py_s
 
 static PyObject *loss_and_grad(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"theta", 'd', 0, N_PARAMS}, {"X", 'd'}, {"y", 'd'}, {"grad", 'd', 1, N_PARAMS}};
+    arg a[] = {{"theta", 0, N_PARAMS}, {"X"}, {"y"}, {"grad", 1, N_PARAMS}};
     if (!PyArg_ParseTuple(args, "OOOO:loss_and_grad", &a[0].obj, &a[1].obj, &a[2].obj,
                           &a[3].obj) ||
         borrow(a, 4) < 0)
@@ -186,81 +185,82 @@ static PyObject *loss_and_grad(PyObject *self, PyObject *args)
     return result;
 }
 
-/* The Adam hyperparameters, in mlp's order. */
-typedef struct {
-    double lr, b1, b2, eps;
-} adam_params;
+/* Raises ValueError with fmt, which takes v as %R and then, if it asks, i. */
+static int value_error(const char *fmt, double v, Py_ssize_t i)
+{
+    PyObject *value = PyFloat_FromDouble(v);
+    if (value != NULL)
+        PyErr_Format(PyExc_ValueError, fmt, value, i);
+    Py_XDECREF(value);
+    return -1;
+}
 
 static int check_lr(double lr)
 {
-    if (lr > 0.0)
-        return 0;
-    PyObject *value = PyFloat_FromDouble(lr);
-    if (value != NULL)
-        PyErr_Format(PyExc_ValueError, "learning rate must be > 0, got %R", value);
-    Py_XDECREF(value);
-    return -1;
+    return lr > 0.0 ? 0 : value_error("learning rate must be > 0, got %R", lr, 0);
 }
 
 /* The t-th bias-corrected Adam step, in place on th, m and s, elementwise in
  * numpy's order. The corrections 1 - beta^t come from pow, the function that
  * Python's float ** int calls. */
-static void adam_body(double *th, double *m, double *s, const double *g, const adam_params *p,
-                      long long t)
+static void adam_body(double *th, double *m, double *s, const double *g, double lr, long long t)
 {
-    const double c1 = 1.0 - pow(p->b1, (double)t), c2 = 1.0 - pow(p->b2, (double)t);
+    const double c1 = 1.0 - pow(BETA1, (double)t), c2 = 1.0 - pow(BETA2, (double)t);
     for (int i = 0; i < N_PARAMS; i++) {
-        m[i] = p->b1 * m[i] + (1.0 - p->b1) * g[i];
-        s[i] = p->b2 * s[i] + (1.0 - p->b2) * (g[i] * g[i]);
-        th[i] = th[i] - p->lr * (m[i] / c1) / (sqrt(s[i] / c2) + p->eps);
+        m[i] = BETA1 * m[i] + (1.0 - BETA1) * g[i];
+        s[i] = BETA2 * s[i] + (1.0 - BETA2) * (g[i] * g[i]);
+        th[i] = th[i] - lr * (m[i] / c1) / (sqrt(s[i] / c2) + ADAM_EPS);
     }
 }
 
 static PyObject *adam(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"theta", 'd', 1, N_PARAMS}, {"m", 'd', 1, N_PARAMS}, {"v", 'd', 1, N_PARAMS},
-               {"grad", 'd', 0, N_PARAMS}};
-    adam_params p;
+    arg a[] = {{"theta", 1, N_PARAMS}, {"m", 1, N_PARAMS}, {"v", 1, N_PARAMS},
+               {"grad", 0, N_PARAMS}};
+    double lr;
     long long t;
-    if (!PyArg_ParseTuple(args, "OOOOddddL:adam", &a[0].obj, &a[1].obj, &a[2].obj, &a[3].obj,
-                          &p.lr, &p.b1, &p.b2, &p.eps, &t) ||
-        check_lr(p.lr) < 0 || borrow(a, 4) < 0)
+    if (!PyArg_ParseTuple(args, "OOOOdL:adam", &a[0].obj, &a[1].obj, &a[2].obj, &a[3].obj, &lr,
+                          &t) ||
+        check_lr(lr) < 0 || borrow(a, 4) < 0)
         return NULL;
-    adam_body(a[0].view.buf, a[1].view.buf, a[2].view.buf, a[3].view.buf, &p, t);
+    adam_body(a[0].view.buf, a[1].view.buf, a[2].view.buf, a[3].view.buf, lr, t);
     release(a, 4);
     Py_RETURN_NONE;
 }
 
-/* The training rows (x_t, t / T) into out, one per step in ts, with noise eps:
- * row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where t = ts[i],
- * ab = alpha_bar[t - 1] and T is alpha_bar's length; numpy's operations in
- * numpy's order. Lengths other than one eps value and one row per step raise
- * ValueError before out is written, and a step outside 1..T stops it with
- * IndexError. */
+/* The training rows (x_t, t / T) into out, one per timestep uniform in u, with
+ * noise eps: row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
+ * t = floor(u[i] * T) + 1, ab = alpha_bar[t - 1] and T = len(alpha_bar), by
+ * numpy's operations in numpy's order. An empty alpha_bar or a length other than
+ * one eps value and one row per uniform raises ValueError before out is written,
+ * and a u outside [0, 1), NaN included, stops it with ValueError: for u in
+ * [0, 1), u * T rounds to below T, so t is in 1..T. */
 static PyObject *rows(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"ts", 'q'}, {"eps", 'd'}, {"alpha_bar", 'd'}, {"out", 'd', 1}};
+    arg a[] = {{"u"}, {"eps"}, {"alpha_bar"}, {"out", 1}};
     double x0;
     if (!PyArg_ParseTuple(args, "OOdOO:rows", &a[0].obj, &a[1].obj, &x0, &a[2].obj, &a[3].obj) ||
         borrow(a, 4) < 0)
         return NULL;
-    const long long *ts = a[0].view.buf;
-    const double *e = a[1].view.buf, *ab = a[2].view.buf;
+    const double *u = a[0].view.buf, *e = a[1].view.buf, *ab = a[2].view.buf;
     double *X = a[3].view.buf;
     const Py_ssize_t n = COUNT(a[0]), T = COUNT(a[2]);
-    Py_ssize_t i = -1;  /* the rows written; -1 if a length is wrong */
+    Py_ssize_t i = -1;  /* the rows written; -1 if an argument is wrong */
     if (COUNT(a[1]) != n)
-        PyErr_SetString(PyExc_ValueError, "eps must hold one value per step in ts");
+        PyErr_SetString(PyExc_ValueError, "eps must hold one value per uniform in u");
     else if (COUNT(a[3]) != N_IN * n)
-        PyErr_SetString(PyExc_ValueError, "out must hold two values per step in ts");
+        PyErr_SetString(PyExc_ValueError, "out must hold two values per uniform in u");
+    else if (T == 0)
+        PyErr_SetString(PyExc_ValueError, "alpha_bar must not be empty");
     else
-        for (i = 0; i < n && ts[i] >= 1 && ts[i] <= T; i++) {
-            const double c = ab[ts[i] - 1];
+        for (i = 0; i < n && u[i] >= 0.0 && u[i] < 1.0; i++) {
+            const Py_ssize_t t = (Py_ssize_t)(u[i] * (double)T) + 1;
+            const double c = ab[t - 1];
             X[N_IN * i] = sqrt(c) * x0 + sqrt(1.0 - c) * e[i];
-            X[N_IN * i + 1] = (double)ts[i] / (double)T;
+            X[N_IN * i + 1] = (double)t / (double)T;
         }
     if (i >= 0 && i < n)
-        PyErr_Format(PyExc_IndexError, "step %lld (index %zd) outside 1..%zd", ts[i], i, T);
+        value_error("uniform %R (index %zd) outside [0, 1)", u[i], i);
     release(a, 4);
     return i == n ? Py_NewRef(Py_None) : NULL;
 }
@@ -273,14 +273,13 @@ static PyObject *rows(PyObject *self, PyObject *args)
  * written before every argument has been checked. */
 static PyObject *train_epoch(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"theta", 'd', 1, N_PARAMS}, {"m", 'd', 1, N_PARAMS}, {"v", 'd', 1, N_PARAMS},
-               {"X", 'd'}, {"y", 'd'}};
-    adam_params p;
+    arg a[] = {{"theta", 1, N_PARAMS}, {"m", 1, N_PARAMS}, {"v", 1, N_PARAMS}, {"X"}, {"y"}};
+    double lr;
     long long step;
     Py_ssize_t batch;
-    if (!PyArg_ParseTuple(args, "OOOLOOndddd:train_epoch", &a[0].obj, &a[1].obj, &a[2].obj,
-                          &step, &a[3].obj, &a[4].obj, &batch, &p.lr, &p.b1, &p.b2, &p.eps) ||
-        check_lr(p.lr) < 0)
+    if (!PyArg_ParseTuple(args, "OOOLOOnd:train_epoch", &a[0].obj, &a[1].obj, &a[2].obj, &step,
+                          &a[3].obj, &a[4].obj, &batch, &lr) ||
+        check_lr(lr) < 0)
         return NULL;
     if (batch < 1)
         PyErr_SetString(PyExc_ValueError, "batch_size must be >= 1");
@@ -299,7 +298,7 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
             if ((diverged = !isfinite(loss)))
                 break;
             sq += loss * (double)nb;
-            adam_body(th, m, s, g, &p, ++step);
+            adam_body(th, m, s, g, lr, ++step);
         }
         result = diverged ? Py_BuildValue("(dLn)", sq, step, k)
                           : Py_BuildValue("(dLO)", sq, step, Py_None);
@@ -314,13 +313,13 @@ static PyMethodDef methods[] = {
     {"loss_and_grad", loss_and_grad, METH_VARARGS,
      "loss_and_grad(theta, X, y, grad) -> loss: the mean squared error; its gradient into grad."},
     {"adam", adam, METH_VARARGS,
-     "adam(theta, m, v, grad, lr, beta1, beta2, eps, t): Adam step t, in place on theta, m"
-     " and v."},
+     "adam(theta, m, v, grad, lr, t): Adam step t, in place on theta, m and v."},
     {"rows", rows, METH_VARARGS,
-     "rows(ts, eps, x0, alpha_bar, out): the training rows (x_t, t / T) into out."},
+     "rows(u, eps, x0, alpha_bar, out): the training rows (x_t, t / T), t = floor(u * T) + 1,"
+     " into out."},
     {"train_epoch", train_epoch, METH_VARARGS,
-     "train_epoch(theta, m, v, step, X, y, batch_size, lr, beta1, beta2, adam_eps) -> (sum of"
-     " squared errors, step, None or the diverged minibatch): the epoch's Adam steps on X."},
+     "train_epoch(theta, m, v, step, X, y, batch_size, lr) -> (sum of squared errors, step,"
+     " None or the diverged minibatch): the epoch's Adam steps on X."},
     {NULL, NULL, 0, NULL},
 };
 

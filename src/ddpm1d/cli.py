@@ -55,7 +55,9 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            data = json.loads(p.read_text(encoding="utf-8"))
+            data = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        except ConfigError:
+            raise
         except (ValueError, RecursionError) as exc:  # bad UTF-8, long ints, deep nesting
             raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
         if not isinstance(data, dict):
@@ -63,6 +65,14 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig.from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a key named twice, which json.loads would read last-wins, raises."""
+    for i, (key, _) in enumerate(pairs):
+        if key in dict(pairs[:i]):
+            raise ConfigError(f"config key {key!r} appears more than once")
+    return dict(pairs)
 
 
 def _fmt(x) -> str:

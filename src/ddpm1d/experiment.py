@@ -135,9 +135,9 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     n = cfg.samples_per_epoch
     final_loss = math.nan
     for epoch in range(1, cfg.epochs + 1):
-        ts = np.floor(g.uniforms(n) * cfg.steps).astype(np.int64) + 1  # uniform on {1..T}
+        u = g.uniforms(n)  # the timesteps t = floor(u * T) + 1, uniform on {1..T}
         eps = noise_mod.sample_block(cfg.noise, n, g)
-        sq_err, bad = mlp.train_epoch(params, state, ts, eps, cfg.x0, alpha_bar, cfg.batch_size,
+        sq_err, bad = mlp.train_epoch(params, state, u, eps, cfg.x0, alpha_bar, cfg.batch_size,
                                       cfg.learning_rate)
         if bad is not None:
             raise DivergenceError(

@@ -1,12 +1,12 @@
 """Hand-rolled noise-prediction network: 2 inputs, 32 hidden units, 1 output.
 
-The hidden layer is ReLU and the optimizer is Adam. Exact analytic gradients
-and the Adam step are written out by hand, in C (``_kernel.c``, built on first
-use by the ``kernel`` module); there is no autodiff anywhere. The parameters
-are one flat (129,) float64 vector theta in [W1 rows, b1, W2, b2] order, the
-weight-dump order. Nothing wraps it: init_params and adam_step return a fresh
-one, and train_epoch, one call per epoch, builds the epoch's rows and then
-updates it and the AdamState in place.
+The hidden layer is ReLU and the optimizer is Adam, with beta1, beta2 and eps
+fixed in ``_kernel.c``: the C that holds the exact analytic gradients and the
+Adam step, built on first use by the ``kernel`` module; there is no autodiff.
+The parameters are one flat (129,) float64 vector theta in [W1 rows, b1, W2,
+b2] order, the weight-dump order. Nothing wraps it: init_params and adam_step
+return a fresh one, and train_epoch, one call per epoch, builds the epoch's
+rows from its timestep uniforms, then updates it and the AdamState in place.
 The kernel reads C-contiguous float64 buffers; read-only array arguments are
 converted to that, with no copy when they already are.
 """
@@ -30,10 +30,6 @@ _W2 = slice(HIDDEN * N_IN + HIDDEN, HIDDEN * N_IN + 2 * HIDDEN)
 
 # draws consumed by init_params; the evaluation stream skips exactly this many
 INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 # built or loaded on the first call, so that importing mlp compiles nothing
 _kernel = cache(kernel.load)
@@ -101,34 +97,34 @@ def adam_step(
     """One bias-corrected Adam update; pure: the kernel steps copies of theta and ``s``."""
     theta, m, v = (np.array(a, dtype=np.float64) for a in (theta, s.m, s.v))
     t = s.step_count + 1
-    _kernel().adam(theta, m, v, _f64(grads), lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t)
+    _kernel().adam(theta, m, v, _f64(grads), lr, t)
     return theta, AdamState(m, v, t)
 
 
 _FUSED = (loss_and_grad_arrays, adam_step)  # what train_epoch runs in one kernel call
 
 
-def train_epoch(theta: np.ndarray, s: AdamState, ts: np.ndarray, eps: np.ndarray, x0: float,
+def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray, x0: float,
                 alpha_bar: np.ndarray, batch_size: int, lr: float) -> tuple[float, int | None]:
     """One epoch of minibatch Adam steps, in place on theta and ``s``.
 
-    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], ts[i] / T), with
-    ab = alpha_bar[ts[i] - 1] and T = len(alpha_bar); a step outside 1..T raises IndexError.
-    The kernel builds the rows; then each run of ``batch_size`` rows, the last possibly short,
-    is a loss_and_grad_arrays and an adam_step, bit for bit, all in one more kernel call; a
-    rebound name (a profiler's timer, say) is called per minibatch instead. Returns the losses
-    times their row counts, summed in order, and None; or, at the first non-finite loss, the
-    sum before it and its minibatch index, its step not taken. theta, ``s.m`` and ``s.v`` must
-    be writable C-contiguous float64 arrays and ``ts`` an int64 one: none is copied.
+    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
+    t = floor(u[i] * T) + 1, ab = alpha_bar[t - 1] and T = len(alpha_bar); a u outside [0, 1)
+    or an empty alpha_bar raises ValueError. The kernel builds the rows; then each run of
+    ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays and an adam_step,
+    bit for bit, all in one more kernel call; a rebound name (a profiler's timer, say) is
+    called per minibatch instead. Returns the losses times their row counts, summed in order,
+    and None; or, at the first non-finite loss, the sum before it and its minibatch index, its
+    step not taken. theta, ``s.m`` and ``s.v`` must be writable C-contiguous float64 arrays.
     """
-    eps, X = _f64(eps), np.empty((len(ts), N_IN))
-    _kernel().rows(ts, eps, x0, _f64(alpha_bar), X)
+    eps, X = _f64(eps), np.empty((len(u), N_IN))
+    _kernel().rows(_f64(u), eps, x0, _f64(alpha_bar), X)
     if (loss_and_grad_arrays, adam_step) == _FUSED:
         sq_err, s.step_count, bad = _kernel().train_epoch(
-            theta, s.m, s.v, s.step_count, X, eps, batch_size, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+            theta, s.m, s.v, s.step_count, X, eps, batch_size, lr)
         return sq_err, bad
     sq_err = 0.0
-    for k, lo in enumerate(range(0, len(ts), batch_size)):
+    for k, lo in enumerate(range(0, len(u), batch_size)):
         y = eps[lo : lo + batch_size]
         loss, grad = loss_and_grad_arrays(theta, X[lo : lo + batch_size], y)
         if not np.isfinite(loss):

@@ -94,6 +94,21 @@ def test_invalid_json_rejected(tmp_path, capsys, content):
     assert "config error: invalid JSON" in capsys.readouterr().err
     assert not out_dir.exists()
 
+# json.loads alone keeps the last value: these read as epochs 3000 and a uniform family
+@pytest.mark.parametrize("content, key", [
+    ('{"epochs": 1, "epochs": 3000}', "epochs"),
+    ('{"noise": {"family": "gaussian", "family": "uniform"}}', "family"),
+], ids=["top-level", "noise"])
+def test_a_key_named_twice_is_rejected(tmp_path, capsys, content, key):
+    path = tmp_path / "twice.json"
+    path.write_text(content)
+    with pytest.raises(ConfigError, match=rf"^config key '{key}' appears more than once$"):
+        parse_config(path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--quiet"]) == 1
+    assert f"config error: config key '{key}' appears more than once" in capsys.readouterr().err
+    assert not out_dir.exists()
+
 def test_normalize_mixture_key(tmp_path):
     path = write_tiny_config(
         tmp_path,
@@ -154,7 +169,8 @@ def test_run_single_tiny(tmp_path, capsys):
     assert manifest["artifact_version"]
     assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags"}
     assert len(manifest["kernel"]["source_sha256"]) == 64
-    assert manifest["kernel"]["flags"] == ["-O2", "-ffp-contract=off"]
+    assert manifest["kernel"]["flags"] == ["-O2", "-ffp-contract=off", "-falign-functions=64",
+                                           "-falign-loops=64"]
 
 def test_manifest_round_trips_to_identical_config(tmp_path):
     config = write_tiny_config(

@@ -32,10 +32,11 @@ def sched():
 
 def q_sample_block(x0, ts, s, eps):
     """Forward corruption sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps of the 1-based
-    steps ``ts``: the first column of the rows the kernel builds for training."""
+    steps ``ts``: the first column of the rows the kernel builds for training,
+    from the timestep uniforms (t - 1/2) / T, which it maps to t = floor(u * T) + 1."""
     out = np.empty((len(ts), 2))
-    mlp._kernel().rows(np.asarray(ts, dtype=np.int64), np.asarray(eps, dtype=np.float64), x0,
-                       s.alpha_bar, out)
+    u = (np.asarray(ts, dtype=np.float64) - 0.5) / s.T
+    mlp._kernel().rows(u, np.asarray(eps, dtype=np.float64), x0, s.alpha_bar, out)
     return out[:, 0]
 
 
@@ -55,12 +56,13 @@ def test_q_sample_terminal_value(sched):
 
 
 def test_q_sample_out_of_range(sched):
-    with pytest.raises(IndexError):
+    # a step outside 1..T has its uniform outside [0, 1)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
         q_sample(X0, 0, sched, 0.0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
         q_sample(X0, 501, sched, 0.0)
     # one bad step anywhere in a block
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"\(index 1\)"):
         q_sample_block(X0, np.array([3, 0, 7]), sched, np.zeros(3))
 
 

@@ -28,9 +28,6 @@ from ddpm1d import cli, kernel, mlp, noise
 from ddpm1d.errors import DivergenceError
 from ddpm1d.experiment import ExperimentConfig, init_stream, train_stream, train_trial
 from ddpm1d.mlp import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     HIDDEN,
     N_IN,
     N_PARAMS,
@@ -95,12 +92,16 @@ def numpy_loss_and_grad(theta, X, y):
     return loss, grad
 
 
+# Adam's defaults (Kingma & Ba), which the kernel fixes in C
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def numpy_adam(theta, s, grads, lr):
     t = s.step_count + 1
-    m = ADAM_BETA1 * s.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (grads * grads)
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
+    m = BETA1 * s.m + (1.0 - BETA1) * grads
+    v = BETA2 * s.v + (1.0 - BETA2) * (grads * grads)
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
     return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m, v, t)
 
 
@@ -251,14 +252,13 @@ def test_flags_do_not_move_the_bits(tmp_path):
             X, y = inputs(t, 64)
             grad = np.empty(N_PARAMS)
             k.loss_and_grad(theta, X, y, grad)
-            k.adam(theta, m, v, grad, 1e-3, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, t)
+            k.adam(theta, m, v, grad, 1e-3, t)
         # and whole epochs, rows built in the kernel
         for epoch in range(3):
-            ts, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
+            u, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
             X = np.empty((1000, 2))
-            k.rows(ts, eps, 7.0, SCHED.alpha_bar, X)
-            k.train_epoch(theta, m, v, 300 + 16 * epoch, X, eps, 64, 1e-3, ADAM_BETA1,
-                          ADAM_BETA2, ADAM_EPS)
+            k.rows(u, eps, 7.0, SCHED.alpha_bar, X)
+            k.train_epoch(theta, m, v, 300 + 16 * epoch, X, eps, 64, 1e-3)
         thetas.append(theta)
     assert thetas[0].tobytes() == thetas[1].tobytes()
     # the forward pass at a row count that leaves a partial block at any vector width
@@ -351,17 +351,23 @@ FAMILIES = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
             NoiseSpec("mixture", mix_prob=0.5)]
 
 
-def epoch_draws(spec, n, g, T=500):
-    """One epoch's timesteps and noise block, in train_trial's stream layout."""
-    ts = np.floor(g.uniforms(n) * T).astype(np.int64) + 1
-    return ts, noise.sample_block(spec, n, g)
+def epoch_draws(spec, n, g):
+    """One epoch's timestep uniforms and noise block, in train_trial's stream layout."""
+    u = g.uniforms(n)
+    return u, noise.sample_block(spec, n, g)
 
 
-def reference_epoch(theta, s, ts, eps, x0, alpha_bar, batch_size, lr):
-    """The epoch as train_trial ran it before train_epoch: the rows by the
-    q_sample formula in numpy, then a loss_and_grad_arrays and an adam_step per
-    minibatch. Returns (theta, state, summed squared error, index of the first
-    minibatch with a non-finite loss or None)."""
+def numpy_steps(u, T):
+    """The timesteps t = floor(u * T) + 1, uniform on 1..T, as numpy computes them."""
+    return np.floor(u * T).astype(np.int64) + 1
+
+
+def reference_epoch(theta, s, u, eps, x0, alpha_bar, batch_size, lr):
+    """The epoch as train_trial ran it before train_epoch: the steps and the rows
+    by the q_sample formula in numpy, then a loss_and_grad_arrays and an
+    adam_step per minibatch. Returns (theta, state, summed squared error, index
+    of the first minibatch with a non-finite loss or None)."""
+    ts = numpy_steps(u, len(alpha_bar))
     ab = alpha_bar[ts - 1]
     X = np.column_stack([np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, ts / len(alpha_bar)])
     sq = 0.0
@@ -389,10 +395,10 @@ def test_train_epoch_is_bit_equal_to_the_reference_loop(spec, n, batch_size):
     ref_theta, ref_s = theta.copy(), AdamState.zeros()
     g = seed_stream(3, 1)
     for _ in range(4):
-        ts, eps = epoch_draws(spec, n, g)
-        sq, bad = train_epoch(theta, s, ts, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+        u, eps = epoch_draws(spec, n, g)
+        sq, bad = train_epoch(theta, s, u, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
-            ref_theta, ref_s, ts, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+            ref_theta, ref_s, u, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
         assert bad is None and ref_bad is None
         assert np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
         assert_same_state(theta, s, ref_theta, ref_s)
@@ -401,11 +407,13 @@ def test_train_epoch_is_bit_equal_to_the_reference_loop(spec, n, batch_size):
 
 @pytest.mark.parametrize("x0", [7.0, -3.5, 0.0])
 def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
-    ts, eps = epoch_draws(NoiseSpec("mixture", mix_prob=0.5), 1000, seed_stream(8, 1))
-    ts[:3] = (1, 500, 250)  # both ends of the schedule
+    u, eps = epoch_draws(NoiseSpec("mixture", mix_prob=0.5), 1000, seed_stream(8, 1))
+    u[:3] = (0.0, np.nextafter(1.0, 0.0), 0.499)  # both ends of the schedule, and t = 250
     eps[3:6] = (0.0, -0.0, 1e-300)
     out = np.empty((1000, 2))
-    mlp._kernel().rows(ts, eps, x0, SCHED.alpha_bar, out)
+    mlp._kernel().rows(u, eps, x0, SCHED.alpha_bar, out)
+    ts = numpy_steps(u, 500)
+    assert ts[:3].tolist() == [1, 500, 250]
     ab = SCHED.alpha_bar[ts - 1]
     assert out[:, 0].tobytes() == (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).tobytes()
     assert out[:, 1].tobytes() == (ts / 500).tobytes()
@@ -417,8 +425,8 @@ def reference_train(cfg, trial):
     g, alpha_bar = train_stream(cfg, trial), cfg.schedule().alpha_bar
     loss = math.nan
     for epoch in range(1, cfg.epochs + 1):
-        ts, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g, cfg.steps)
-        theta, s, sq, bad = reference_epoch(theta, s, ts, eps, cfg.x0, alpha_bar,
+        u, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g)
+        theta, s, sq, bad = reference_epoch(theta, s, u, eps, cfg.x0, alpha_bar,
                                             cfg.batch_size, cfg.learning_rate)
         if bad is not None:
             raise DivergenceError(f"epoch {epoch}", step=epoch)
@@ -446,11 +454,11 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
     theta, s = init_params(init_stream(cfg, 0)), AdamState.zeros()
     g, alpha_bar = train_stream(cfg, 0), cfg.schedule().alpha_bar
     for _ in range(err.value.step):
-        ts, eps = epoch_draws(cfg.noise, 256, g, 50)
+        u, eps = epoch_draws(cfg.noise, 256, g)
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
-            theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), ts, eps, 7.0, alpha_bar, 32,
+            theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), u, eps, 7.0, alpha_bar, 32,
             1e300)
-        sq, bad = train_epoch(theta, s, ts, eps, 7.0, alpha_bar, 32, 1e300)
+        sq, bad = train_epoch(theta, s, u, eps, 7.0, alpha_bar, 32, 1e300)
         assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
         assert_same_state(theta, s, ref_theta, ref_s)
     assert bad is not None and f"minibatch {bad}" in str(err.value)
@@ -489,12 +497,27 @@ def test_rebound_loss_and_adam_see_every_minibatch_and_move_no_bit(spec, monkeyp
     assert (err.value.step, str(err.value)) == (fused_err.value.step, str(fused_err.value))
 
 
-# the fused path's cases are named by the step alone
-@pytest.mark.parametrize("bad_step, path", [
-    pytest.param(bad_step, path, id=str(bad_step) if path == "fused" else f"{path}{bad_step}")
-    for path in ("fused", "rebound") for bad_step in (0, 501, -3)
-])
-def test_train_epoch_steps_outside_1_to_T_raise_index_error(bad_step, path, monkeypatch):
+# u = 0, the last double below 1, and the doubles on and beside each k / T
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 500, 512, 1000])
+def test_kernel_steps_are_numpys_floor_of_u_times_T(T):
+    k = np.arange(T + 1) / T
+    u = np.concatenate([np.linspace(0.0, 1.0, 20_001), k, np.nextafter(k, 0.0),
+                        np.nextafter(k, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    alpha_bar = np.linspace(0.999, 0.001, T)
+    eps = seed_stream(T, 2).gaussians(len(u))
+    out = np.empty((len(u), 2))
+    mlp._kernel().rows(u, eps, 7.0, alpha_bar, out)
+    ts = numpy_steps(u, T)
+    assert ts.min() == 1 and ts.max() == T
+    assert out[:, 1].tobytes() == (ts / T).tobytes()
+    ab = alpha_bar[ts - 1]
+    assert out[:, 0].tobytes() == (np.sqrt(ab) * 7.0 + np.sqrt(1.0 - ab) * eps).tobytes()
+
+
+@pytest.mark.parametrize("path", ["fused", "rebound"])
+@pytest.mark.parametrize("bad", [1.0, -1e-300, np.nan, np.inf, "empty-alpha_bar"])
+def test_train_epoch_uniforms_outside_0_1_raise_value_error(bad, path, monkeypatch):
     k = mlp._kernel()
     calls = count_minibatch_calls(monkeypatch) if path == "rebound" else {}
     calls["epoch"] = 0  # the fused path's one kernel call for all its minibatches
@@ -502,15 +525,18 @@ def test_train_epoch_steps_outside_1_to_T_raise_index_error(bad_step, path, monk
         rows=k.rows, train_epoch=counting(calls, "epoch", k.train_epoch)))
     theta, s = random_theta(0), AdamState.zeros()
     before = theta.copy()
-    ts, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
-    ts[37] = bad_step  # one bad step anywhere in the block
-    with pytest.raises(IndexError, match=rf"^step {bad_step} \(index 37\) outside 1\.\.500$"):
-        train_epoch(theta, s, ts, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
+    u, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
+    alpha_bar = SCHED.alpha_bar
+    if bad == "empty-alpha_bar":
+        alpha_bar, match = alpha_bar[:0], "^alpha_bar must not be empty$"
+    else:
+        u[37] = bad  # one bad uniform anywhere in the block
+        match = rf"^uniform {re.escape(repr(float(bad)))} \(index 37\) outside \[0, 1\)$"
+    with pytest.raises(ValueError, match=match):
+        train_epoch(theta, s, u, eps, 7.0, alpha_bar, 64, 1e-3)
     assert theta.tobytes() == before.tobytes() and s.step_count == 0
     assert not s.m.any() and not s.v.any()
     assert not any(calls.values()), calls
-    with pytest.raises(IndexError):
-        mlp._kernel().rows(ts, eps, 7.0, SCHED.alpha_bar, np.empty((100, 2)))
 
 
 def read_only(a):
@@ -530,10 +556,10 @@ def test_in_place_arguments_are_never_copied(which, make):
     args = {"theta": theta, "m": s.m, "v": s.v}
     args[which] = make(args[which].copy())
     before = {k: a.copy() for k, a in args.items()}
-    ts, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(1, 1))
+    u, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(1, 1))
     state = AdamState(args["m"], args["v"])
     with pytest.raises((ValueError, BufferError)):
-        train_epoch(args["theta"], state, ts, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
+        train_epoch(args["theta"], state, u, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
     for k, a in args.items():
         assert a.tobytes() == before[k].tobytes()
     assert state.step_count == 0
@@ -541,16 +567,16 @@ def test_in_place_arguments_are_never_copied(which, make):
 
 def test_train_epoch_checks_its_other_arguments():
     theta, s = random_theta(2), AdamState.zeros()
-    ts, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(2, 1))
+    u, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(2, 1))
     ab = SCHED.alpha_bar
-    with pytest.raises(ValueError, match="int64"):
-        train_epoch(theta, s, ts.astype(np.int32), eps, 7.0, ab, 64, 1e-3)
-    with pytest.raises(ValueError, match="one value per step"):
-        train_epoch(theta, s, ts, eps[:63], 7.0, ab, 64, 1e-3)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):  # steps in place of uniforms
+        train_epoch(theta, s, numpy_steps(u, 500), eps, 7.0, ab, 64, 1e-3)
+    with pytest.raises(ValueError, match="one value per uniform"):
+        train_epoch(theta, s, u, eps[:63], 7.0, ab, 64, 1e-3)
     with pytest.raises(ValueError, match="batch_size"):
-        train_epoch(theta, s, ts, eps, 7.0, ab, 0, 1e-3)
+        train_epoch(theta, s, u, eps, 7.0, ab, 0, 1e-3)
     with pytest.raises(ValueError, match="learning rate must be > 0, got nan"):
-        train_epoch(theta, s, ts, eps, 7.0, ab, 64, float("nan"))
+        train_epoch(theta, s, u, eps, 7.0, ab, 64, float("nan"))
     assert s.step_count == 0 and not s.m.any()
 
 
@@ -558,44 +584,44 @@ def valid_call(entry):
     """The arguments of a valid call of the kernel entry ``entry``, by name, in
     order."""
     X, y = inputs(3, 16)
-    ts, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(3, 1))
-    ts[0] = 500  # with one alpha_bar value fewer, this step is out of range
+    u, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(3, 1))
+    u[0] = np.nextafter(1.0, 0.0)  # the last step, whatever alpha_bar's length
     theta, ab = random_theta(3), SCHED.alpha_bar.copy()
     m, v, grad = (np.full(N_PARAMS, c) for c in (0.1, 0.2, 0.3))
-    adam = {"lr": 1e-3, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
     return {
         "forward": {"theta": theta, "X": X, "out": np.zeros(16)},
         "loss_and_grad": {"theta": theta, "X": X, "y": y, "grad": np.zeros(N_PARAMS)},
-        "adam": {"theta": theta, "m": m, "v": v, "grad": grad, **adam, "t": 1},
-        "rows": {"ts": ts, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
+        "adam": {"theta": theta, "m": m, "v": v, "grad": grad, "lr": 1e-3, "t": 1},
+        "rows": {"u": u, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
         "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "X": X, "y": y,
-                        "batch_size": 8, **adam},
+                        "batch_size": 8, "lr": 1e-3},
     }[entry]
 
 
 WRITTEN = {"forward": {"out"}, "loss_and_grad": {"grad"}, "adam": {"theta", "m", "v"},
            "rows": {"out"}, "train_epoch": {"theta", "m", "v"}}
 FAULTS = {
-    "kind": lambda a: a.astype(np.int32 if a.dtype == np.int64 else np.float32),
+    "kind": lambda a: a.astype(np.float32),
     "length": lambda a: a[:-1],  # one value, or one row, fewer
     "read-only": read_only,
 }
 
 
 def expected_error(entry, name, fault):
-    """The exception and message a call with ``name`` made bad by ``fault`` raises."""
+    """The exception and message a call with ``name`` made bad by ``fault``
+    raises; None for a shorter alpha_bar, a schedule of fewer steps."""
     if fault == "kind":
-        return ValueError, rf"^{name} must be an? (float64|int64) array$"
+        return ValueError, rf"^{name} must be a float64 array$"
     if fault == "read-only":
         return (ValueError, BufferError), "read-only"
     if name in ("theta", "m", "v", "grad"):
         return ValueError, rf"^{name} must hold 129 values$"
-    if name in ("ts", "eps"):
-        return ValueError, "^eps must hold one value per step in ts$"
+    if name in ("u", "eps"):
+        return ValueError, "^eps must hold one value per uniform in u$"
     if name == "alpha_bar":  # it may hold any number of steps
-        return IndexError, r"^step 500 \(index 0\) outside 1\.\.499$"
+        return None
     if entry == "rows":
-        return ValueError, "^out must hold two values per step in ts$"
+        return ValueError, "^out must hold two values per uniform in u$"
     return ValueError, r"^X must be an \(n, 2\) array with one row per target$"
 
 
@@ -611,7 +637,14 @@ def test_every_array_argument_is_checked_before_use_and_released(entry, name, fa
     arrays = {k: a for k, a in call.items() if isinstance(a, np.ndarray)}
     # a buffer that an error path borrows and does not release holds a reference
     before = {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()}
-    exc, match = expected_error(entry, name, fault)
-    with pytest.raises(exc, match=match):
+    error = expected_error(entry, name, fault)
+    if error is None:
         getattr(mlp._kernel(), entry)(*call.values())
+        T = len(call["alpha_bar"])
+        assert call["out"][:, 1].tobytes() == (numpy_steps(call["u"], T) / T).tobytes()
+        assert call["out"][0, 1] == 1.0
+        before["out"] = (call["out"].tobytes(), before["out"][1])
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            getattr(mlp._kernel(), entry)(*call.values())
     assert {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()} == before
