@@ -29,7 +29,10 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   the gaussian noise add, on 2000 chains;
 - ``write_csv``: ``cli.write_csv`` of the ``fanout`` workload's 600 trial rows
   (table1's three families, 200 trials each) and their 3 summary rows, into a
-  temporary directory.
+  temporary directory;
+- ``run_trials``: ``experiment.run_trials`` of the ``fanout`` workload's 600
+  (family, trial) tasks at ``workers=2``, the process pool's start and shutdown
+  included: pool dispatch of nearly free trials.
 
 The output is one JSON object keyed by entry. ``--tiny`` shrinks every input,
 and the repeats to 3, for a smoke run of a few milliseconds.
@@ -42,12 +45,13 @@ import json
 import statistics
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ddpm1d import cli, diffusion, mlp
-from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, summarize,
-                               table1_distributions, train_trial)
+from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, run_trials,
+                               summarize, table1_distributions, train_trial)
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
@@ -107,6 +111,11 @@ def measure(tiny: bool) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         write_csv = timed(lambda: cli.write_csv(trial_rows, summary_rows, out_dir), repeats,
                           calls // 10 or 1, ms, {"rows": len(trial_rows)}, "ms")
+    # the fanout workload's config (perfbench/workloads/fanout.json)
+    fanout_cfg = ExperimentConfig(epochs=1, samples_per_epoch=64, batch_size=64, steps=10,
+                                  gens_per_trial=1)
+    tasks = [(replace(fanout_cfg, noise=spec), i) for _, spec in table1_distributions()
+             for i in range(fanout_trials)]
     noise = {f"sample_block.{spec.label()}":
              timed(lambda spec=spec: sample_block(spec, rows, g), repeats, calls // 10 or 1,
                    us, {"draws": rows}, "us")
@@ -132,6 +141,8 @@ def measure(tiny: bool) -> dict:
         "reverse_step": timed(reverse_step, repeats, calls // 10 or 1, us,
                               {"chains": chains, "t": t, "family": "gaussian"}, "us"),
         "write_csv": write_csv,
+        "run_trials": timed(lambda: run_trials(tasks, workers=2), repeats, 1, ms,
+                            {"tasks": len(tasks), "workers": 2}, "ms"),
     }
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddpm1d import cli
+from ddpm1d import cli, experiment
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
@@ -373,6 +373,24 @@ def test_runtime_failures_exit_code(tmp_path, capsys):
     assert "config error" not in err and "cannot dump weights" in err
     assert not out_dir.exists()
 
+def test_an_unexpected_error_in_a_pooled_trial_exits_2(tmp_path, monkeypatch, capsys):
+    real = experiment.run_trial
+
+    def failing(cfg, trial):  # gaussian trial 4 is inside the second chunk, trials 3-5
+        if trial == 4:
+            raise RuntimeError("unexpected failure in trial 4")
+        return real(cfg, trial)
+
+    monkeypatch.setattr(experiment, "run_trial", failing)  # forked workers inherit it
+    config = write_tiny_config(tmp_path, trials=10)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--experiment", "table1", "--config", str(config),
+                 "--out", str(out_dir), "--workers", "2", "--quiet"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "runtime error: unexpected failure in trial 4"
+    assert not out_dir.exists()  # so no trials.csv
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_parsed_arguments_are_config_keys_or_command_options(command):
     args = _build_parser().parse_args([command])
@@ -398,7 +416,7 @@ def test_absent_normalize_flag_keeps_the_file_value(tmp_path):
     assert echo["normalize_mixture"] is True
 
 def test_progress_lines_follow_csv_order_at_any_worker_count(tmp_path, capsys):
-    config = write_tiny_config(tmp_path, trials=3)
+    config = write_tiny_config(tmp_path, trials=6)  # 18 tasks: the first chunks hold 2
     logs = []
     for workers in ("1", "2"):
         out_dir = tmp_path / f"out{workers}"

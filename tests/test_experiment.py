@@ -163,6 +163,9 @@ def test_parallel_results_bit_identical():
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=4)
     assert serial == parallel
+    # 40 tasks at 2 workers go out in chunks of 5, 4, 4, ... trials
+    cfg = tiny_cfg(trials=40)
+    assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
 
 
 def test_trial_results_independent_of_trial_count():
@@ -178,13 +181,19 @@ def test_run_trials_rejects_non_positive_workers(workers):
 
 
 class RecordingPool(ThreadPoolExecutor):
-    """Stands in for the process pool and records every one built."""
+    """Stands in for the process pool and records every one built and the
+    arguments of every work item submitted to it."""
 
     built: list[int] = []
+    submitted: list[tuple] = []
 
     def __init__(self, max_workers):
         RecordingPool.built.append(max_workers)
         super().__init__(max_workers=max_workers)
+
+    def submit(self, fn, /, *args, **kwargs):
+        RecordingPool.submitted.append(args)
+        return super().submit(fn, *args, **kwargs)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -197,6 +206,39 @@ def test_on_result_callback_sees_every_trial(monkeypatch, workers):
     run_trials(tasks, workers=workers, on_result=lambda k, r: seen.append((k, r.trial_index)))
     assert seen == [(0, 0), (1, 1), (2, 2)]
     assert RecordingPool.built == ([3] if workers == 3 else [])
+
+
+def test_pool_gets_contiguous_chunks_that_shrink_to_one_task(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    cfg = tiny_cfg(epochs=1, samples_per_epoch=8, batch_size=8, steps=10, gens_per_trial=1)
+    tasks = [(cfg, i) for i in range(600)]
+    seen = []
+    run_trials(tasks, workers=2, on_result=lambda k, r: seen.append((k, r.trial_index)))
+    chunks = [chunk for (chunk,) in RecordingPool.submitted]
+    assert len(chunks) <= 60  # 44: each takes 1/8 of the tasks left, not one task each
+    assert [task for chunk in chunks for task in chunk] == tasks
+    assert len(chunks[0]) == 75 and len(chunks[-1]) == 1
+    assert seen == [(k, k) for k in range(600)]
+
+
+def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
+    # 40 tasks at 2 workers: the second chunk is trials 5-8, so trial 6 is inside it
+    assert [len(c) for c in experiment._chunks(list(range(40)), 2)][:2] == [5, 4]
+    real = experiment.run_trial
+
+    def failing(cfg, trial):
+        if trial == 6:
+            raise RuntimeError("unexpected failure in trial 6")
+        return real(cfg, trial)
+
+    monkeypatch.setattr(experiment, "run_trial", failing)  # forked workers inherit it
+    cfg = tiny_cfg(epochs=1, trials=40)
+    seen = []
+    with pytest.raises(RuntimeError, match="trial 6"):
+        run_trials([(cfg, i) for i in range(40)], workers=2,
+                   on_result=lambda k, r: seen.append(k))
+    assert seen == [0, 1, 2, 3, 4]  # the first chunk came back; the rest is lost
 
 
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
