@@ -31,8 +31,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   (table1's three families, 200 trials each) and their 3 summary rows, into a
   temporary directory;
 - ``run_trials``: ``experiment.run_trials`` of the ``fanout`` workload's 600
-  (family, trial) tasks at ``workers=2``, the process pool's start and shutdown
-  included: pool dispatch of nearly free trials.
+  (family, trial) tasks, its config read from ``perfbench/workloads/fanout.json``,
+  at ``workers=2``, the process pool's start and shutdown included: pool
+  dispatch of nearly free trials.
 
 The output is one JSON object keyed by entry. ``--tiny`` shrinks every input,
 and the repeats to 3, for a smoke run of a few milliseconds.
@@ -46,6 +47,7 @@ import statistics
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +56,8 @@ from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, ru
                                summarize, table1_distributions, train_trial)
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
+
+FANOUT_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "fanout.json"
 
 
 def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str) -> dict:
@@ -72,7 +76,8 @@ def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str)
 
 def measure(tiny: bool) -> dict:
     rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
-    fanout_trials = 2 if tiny else 200  # per table1 family
+    fanout_cfg = cli.parse_config(FANOUT_CONFIG)
+    fanout_trials = 2 if tiny else fanout_cfg.trials  # per table1 family
     draws = 20 if tiny else 1000  # one epoch's samples
     repeats = 3 if tiny else 15
     calls = 5 if tiny else 200  # per block, for the microsecond-scale entries
@@ -111,9 +116,6 @@ def measure(tiny: bool) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         write_csv = timed(lambda: cli.write_csv(trial_rows, summary_rows, out_dir), repeats,
                           calls // 10 or 1, ms, {"rows": len(trial_rows)}, "ms")
-    # the fanout workload's config (perfbench/workloads/fanout.json)
-    fanout_cfg = ExperimentConfig(epochs=1, samples_per_epoch=64, batch_size=64, steps=10,
-                                  gens_per_trial=1)
     tasks = [(replace(fanout_cfg, noise=spec), i) for _, spec in table1_distributions()
              for i in range(fanout_trials)]
     noise = {f"sample_block.{spec.label()}":

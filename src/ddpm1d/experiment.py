@@ -185,34 +185,22 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, np.ndarra
     return TrialResult(trial, cfg.base_seed, final_loss, gen_error, False), params
 
 
-def _run_chunk(chunk: list[tuple[ExperimentConfig, int]]) -> list:
-    return [run_trial(cfg, trial) for cfg, trial in chunk]
-
-
-def _chunks(tasks: list, n: int):
-    """Guided self-scheduling: each chunk is 1/(4n) of the tasks left, at least one."""
-    while tasks:
-        size = max(1, len(tasks) // (4 * n))
-        yield tasks[:size]
-        tasks = tasks[size:]
-
-
 def run_trials(
     tasks: list[tuple[ExperimentConfig, int]],
     workers: int = 1,
     on_result: Callable[[int, TrialResult], None] | None = None,
 ) -> list[tuple[TrialResult, np.ndarray | None]]:
     """Run ``(config, trial)`` tasks, over one process pool of at most
-    ``min(workers, len(tasks))`` workers (fed ``_chunks``) when that is above 1.
-    The output and the ``on_result(task index, result)`` calls follow task order."""
+    ``min(workers, len(tasks))`` workers when that is above 1, sent in chunks of
+    1/(4n) of the tasks. The output and the ``on_result(task index, result)``
+    calls follow task order."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n = min(workers, len(tasks))
     pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
     with pool or nullcontext():
-        pairs = itertools.starmap(run_trial, tasks)
-        if pool:
-            pairs = itertools.chain.from_iterable(pool.map(_run_chunk, _chunks(tasks, n)))
+        pairs = (pool.map(run_trial, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * n)))
+                 if pool else itertools.starmap(run_trial, tasks))
         out = []
         for i, pair in enumerate(pairs):
             out.append(pair)

@@ -373,15 +373,16 @@ def test_runtime_failures_exit_code(tmp_path, capsys):
     assert "config error" not in err and "cannot dump weights" in err
     assert not out_dir.exists()
 
+def fail_on_trial_4(cfg, trial):
+    """run_trial, but trial 4 raises an error that is not a divergence. Module
+    level, so that it pickles by reference to a pool worker."""
+    if trial == 4:
+        raise RuntimeError("unexpected failure in trial 4")
+    return run_trial(cfg, trial)
+
 def test_an_unexpected_error_in_a_pooled_trial_exits_2(tmp_path, monkeypatch, capsys):
-    real = experiment.run_trial
-
-    def failing(cfg, trial):  # gaussian trial 4 is inside the second chunk, trials 3-5
-        if trial == 4:
-            raise RuntimeError("unexpected failure in trial 4")
-        return real(cfg, trial)
-
-    monkeypatch.setattr(experiment, "run_trial", failing)  # forked workers inherit it
+    # 30 tasks at 2 workers go out in chunks of 3: gaussian trial 4 is inside the second
+    monkeypatch.setattr(experiment, "run_trial", fail_on_trial_4)
     config = write_tiny_config(tmp_path, trials=10)
     out_dir = tmp_path / "out"
     code = main(["run", "--experiment", "table1", "--config", str(config),
@@ -416,7 +417,7 @@ def test_absent_normalize_flag_keeps_the_file_value(tmp_path):
     assert echo["normalize_mixture"] is True
 
 def test_progress_lines_follow_csv_order_at_any_worker_count(tmp_path, capsys):
-    config = write_tiny_config(tmp_path, trials=6)  # 18 tasks: the first chunks hold 2
+    config = write_tiny_config(tmp_path, trials=6)  # 18 tasks: chunks of 2
     logs = []
     for workers in ("1", "2"):
         out_dir = tmp_path / f"out{workers}"

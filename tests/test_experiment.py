@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -163,7 +163,7 @@ def test_parallel_results_bit_identical():
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=4)
     assert serial == parallel
-    # 40 tasks at 2 workers go out in chunks of 5, 4, 4, ... trials
+    # 40 tasks at 2 workers go out in 8 chunks of 5 trials
     cfg = tiny_cfg(trials=40)
     assert run_experiment(cfg, workers=2) == run_experiment(cfg, workers=1)
 
@@ -181,19 +181,32 @@ def test_run_trials_rejects_non_positive_workers(workers):
 
 
 class RecordingPool(ThreadPoolExecutor):
-    """Stands in for the process pool and records every one built and the
-    arguments of every work item submitted to it."""
+    """Stands in for the process pool and records every one built."""
 
     built: list[int] = []
-    submitted: list[tuple] = []
 
     def __init__(self, max_workers):
         RecordingPool.built.append(max_workers)
         super().__init__(max_workers=max_workers)
 
+
+class CountingProcessPool(ProcessPoolExecutor):
+    """A real process pool that records the arguments of every work item
+    submitted to it: ``map`` submits one item per chunk of argument tuples."""
+
+    submitted: list[tuple] = []
+
     def submit(self, fn, /, *args, **kwargs):
-        RecordingPool.submitted.append(args)
+        CountingProcessPool.submitted.append(args)
         return super().submit(fn, *args, **kwargs)
+
+
+def fail_on_trial_6(cfg, trial):
+    """run_trial, but trial 6 raises an error that is not a divergence. Module
+    level, so that it pickles by reference to a pool worker."""
+    if trial == 6:
+        raise RuntimeError("unexpected failure in trial 6")
+    return run_trial(cfg, trial)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -208,31 +221,23 @@ def test_on_result_callback_sees_every_trial(monkeypatch, workers):
     assert RecordingPool.built == ([3] if workers == 3 else [])
 
 
-def test_pool_gets_contiguous_chunks_that_shrink_to_one_task(monkeypatch):
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "submitted", [])
+def test_pool_gets_contiguous_chunks_of_an_eighth_of_the_tasks(monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingProcessPool)
+    monkeypatch.setattr(CountingProcessPool, "submitted", [])
     cfg = tiny_cfg(epochs=1, samples_per_epoch=8, batch_size=8, steps=10, gens_per_trial=1)
     tasks = [(cfg, i) for i in range(600)]
     seen = []
     run_trials(tasks, workers=2, on_result=lambda k, r: seen.append((k, r.trial_index)))
-    chunks = [chunk for (chunk,) in RecordingPool.submitted]
-    assert len(chunks) <= 60  # 44: each takes 1/8 of the tasks left, not one task each
+    chunks = [chunk for (chunk,) in CountingProcessPool.submitted]
+    assert len(chunks) <= 60  # 8 chunks of 600 // (4 * 2) tasks, not one task each
+    assert [len(chunk) for chunk in chunks] == [75] * 8
     assert [task for chunk in chunks for task in chunk] == tasks
-    assert len(chunks[0]) == 75 and len(chunks[-1]) == 1
     assert seen == [(k, k) for k in range(600)]
 
 
 def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
-    # 40 tasks at 2 workers: the second chunk is trials 5-8, so trial 6 is inside it
-    assert [len(c) for c in experiment._chunks(list(range(40)), 2)][:2] == [5, 4]
-    real = experiment.run_trial
-
-    def failing(cfg, trial):
-        if trial == 6:
-            raise RuntimeError("unexpected failure in trial 6")
-        return real(cfg, trial)
-
-    monkeypatch.setattr(experiment, "run_trial", failing)  # forked workers inherit it
+    # 40 tasks at 2 workers go out in chunks of 5, so trial 6 is inside the second
+    monkeypatch.setattr(experiment, "run_trial", fail_on_trial_6)
     cfg = tiny_cfg(epochs=1, trials=40)
     seen = []
     with pytest.raises(RuntimeError, match="trial 6"):
