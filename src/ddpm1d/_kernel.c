@@ -12,11 +12,15 @@
  * innermost loop: each row keeps its own accumulator and sums its units in
  * order j = 0..31, so the compiler can compute a block's rows side by side in
  * vector lanes without moving a row's bits. A last, partial block is padded
- * with zero rows. The entries loss_and_grad, adam and train_epoch share one
- * loss-and-gradient body and one Adam body. Each entry lists its array
- * arguments in one table of arg descriptors, and borrow checks them all, as
- * C-contiguous float64 buffers of the right length, before anything is read or
- * written.
+ * with zero rows. The gradient turns this around: its lanes are hidden units,
+ * VW to a GCC vector (8 under AVX-512, 4 under AVX2, else 2), and each of its
+ * sums adds the rows in order, so its bits do not depend on VW either. The
+ * loader builds for the widest of these ISAs that the host runs.
+ *
+ * The entries loss_and_grad, adam and train_epoch share one loss-and-gradient
+ * body and one Adam body. Each entry lists its array arguments in one table of
+ * arg descriptors, and borrow checks them all, as C-contiguous float64 buffers
+ * of the right length, before anything is read or written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -30,6 +34,17 @@
 #define OFF_W2 (OFF_B1 + HIDDEN)
 #define OFF_B2 (OFF_W2 + HIDDEN)
 #define BLOCK 8
+/* the gradient's lanes: hidden units per vector, as wide as the build's ISA */
+#if defined(__AVX512F__)
+#define VW 8
+#elif defined(__AVX2__)
+#define VW 4
+#else
+#define VW 2
+#endif
+#define NV (HIDDEN / VW)
+typedef double vec __attribute__((vector_size(VW * sizeof(double))));
+typedef long long lanes __attribute__((vector_size(VW * sizeof(double))));
 #define BETA1 0.9
 #define BETA2 0.999
 #define ADAM_EPS 1e-8
@@ -86,11 +101,9 @@ static int check_X(const arg *X, Py_ssize_t n)
     return -1;
 }
 
-/* The predictions of rows 0..m-1 of X (m <= BLOCK) into out[0..m-1]; z[j][r]
- * gets row r's pre-activation of unit j. The ReLU passes NaN on, as numpy's
- * maximum does. */
-static void forward_block(const double *th, const double *X, Py_ssize_t m,
-                          double z[HIDDEN][BLOCK], double *out)
+/* The predictions of rows 0..m-1 of X (m <= BLOCK) into out[0..m-1]. The
+ * ReLU passes NaN on, as numpy's maximum does. */
+static void forward_block(const double *th, const double *X, Py_ssize_t m, double *out)
 {
     double x[BLOCK], t[BLOCK], s[BLOCK];
     for (int r = 0; r < BLOCK; r++) {
@@ -102,9 +115,8 @@ static void forward_block(const double *th, const double *X, Py_ssize_t m,
         const double w0 = th[N_IN * j], w1 = th[N_IN * j + 1], b = th[OFF_B1 + j];
         const double w2 = th[OFF_W2 + j];
         for (int r = 0; r < BLOCK; r++) {
-            const double zj = (x[r] * w0 + t[r] * w1) + b;
-            z[j][r] = zj;
-            s[r] += (zj <= 0.0 ? 0.0 : zj) * w2;
+            const double z = (x[r] * w0 + t[r] * w1) + b;
+            s[r] += (z <= 0.0 ? 0.0 : z) * w2;
         }
     }
     for (Py_ssize_t r = 0; r < m; r++)
@@ -121,9 +133,9 @@ static PyObject *forward(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     if (check_X(&a[1], n) == 0) {
         const double *th = a[0].view.buf, *x = a[1].view.buf;
-        double *o = a[2].view.buf, z[HIDDEN][BLOCK];
+        double *o = a[2].view.buf;
         for (Py_ssize_t i = 0; i < n; i += BLOCK)
-            forward_block(th, x + N_IN * i, n - i < BLOCK ? n - i : BLOCK, z, o + i);
+            forward_block(th, x + N_IN * i, n - i < BLOCK ? n - i : BLOCK, o + i);
         result = Py_NewRef(Py_None);
     }
     release(a, 3);
@@ -131,38 +143,59 @@ static PyObject *forward(PyObject *self, PyObject *args)
 }
 
 /* Loss: the squared errors summed row by row, over n; returned. Gradient: each
- * row adds its terms in turn, b2 first and then unit by unit, for the units
- * with z > 0 (the ReLU subgradient at 0 is 0), into g. The rows' forward passes
- * run a block at a time, ahead of their gradient terms, which they do not
- * depend on. */
+ * of the 129 sums adds its rows' terms in row order from +0, into g at the end.
+ * b2's term is d, the row's scaled error; unit j's terms are d * z_j for W2,
+ * and dz = d * W2_j times x, t and 1 for W1 and b1, in the rows where z_j > 0
+ * (the ReLU subgradient at 0 is 0). The predictions run a block of rows at a
+ * time through forward_block; the gradient takes a unit per vector lane, VW at
+ * a time, over the block's rows in order. It computes z_j as forward_block does
+ * and masks an off unit's terms to +0, which leaves every sum's bits as
+ * skipping the unit would: a sum that starts at +0 never reaches -0, and adding
+ * +0 leaves any other value as it is. A NaN z_j is off, as it was skipped. */
 static double mse_grad(const double *th, const double *x, const double *yy, Py_ssize_t n,
                        double *g)
 {
-    double z[HIDDEN][BLOCK], pred[BLOCK];
-    memset(g, 0, N_PARAMS * sizeof(double));
+    double pred[BLOCK], d[BLOCK];
+    vec w0[NV], w1[NV], b1[NV], w2[NV], gx[NV], gt[NV], gb1[NV], gw2[NV];
+    for (int j = 0; j < HIDDEN; j++) {
+        w0[j / VW][j % VW] = th[N_IN * j];
+        w1[j / VW][j % VW] = th[N_IN * j + 1];
+    }
+    memcpy(b1, th + OFF_B1, sizeof b1);
+    memcpy(w2, th + OFF_W2, sizeof w2);
+    for (int k = 0; k < NV; k++)
+        gx[k] = gt[k] = gb1[k] = gw2[k] = (vec){0};
     const double scale = 2.0 / (double)n;
-    double sq = 0.0;
+    double sq = 0.0, gb2 = 0.0;
     for (Py_ssize_t i0 = 0; i0 < n; i0 += BLOCK) {
         const Py_ssize_t m = n - i0 < BLOCK ? n - i0 : BLOCK;
-        forward_block(th, x + N_IN * i0, m, z, pred);
+        const double *xb = x + N_IN * i0;
+        forward_block(th, xb, m, pred);
         for (Py_ssize_t r = 0; r < m; r++) {
-            const Py_ssize_t i = i0 + r;
-            const double xi = x[N_IN * i], ti = x[N_IN * i + 1];
-            const double e = pred[r] - yy[i];
-            const double d = scale * e;
+            const double e = pred[r] - yy[i0 + r];
+            d[r] = scale * e;
             sq += e * e;
-            g[OFF_B2] += d;
-            for (int j = 0; j < HIDDEN; j++) {
-                if (!(z[j][r] > 0.0))
-                    continue;
-                const double dz = d * th[OFF_W2 + j];
-                g[OFF_W2 + j] += d * z[j][r];
-                g[N_IN * j] += dz * xi;
-                g[N_IN * j + 1] += dz * ti;
-                g[OFF_B1 + j] += dz;
-            }
+            gb2 += d[r];
         }
+        for (int k = 0; k < NV; k++)
+            for (Py_ssize_t r = 0; r < m; r++) {
+                const double xr = xb[N_IN * r], tr = xb[N_IN * r + 1];
+                const vec z = (xr * w0[k] + tr * w1[k]) + b1[k];
+                const lanes on = (lanes)(z > 0.0);
+                const vec dz = d[r] * w2[k];
+                gw2[k] += (vec)((lanes)(d[r] * z) & on);
+                gx[k] += (vec)((lanes)(dz * xr) & on);
+                gt[k] += (vec)((lanes)(dz * tr) & on);
+                gb1[k] += (vec)((lanes)dz & on);
+            }
     }
+    for (int j = 0; j < HIDDEN; j++) {
+        g[N_IN * j] = gx[j / VW][j % VW];
+        g[N_IN * j + 1] = gt[j / VW][j % VW];
+    }
+    memcpy(g + OFF_B1, gb1, sizeof gb1);
+    memcpy(g + OFF_W2, gw2, sizeof gw2);
+    g[OFF_B2] = gb2;
     return sq / (double)n;
 }
 

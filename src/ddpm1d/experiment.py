@@ -19,6 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -75,7 +76,9 @@ class ExperimentConfig:
             )
 
     def schedule(self) -> Schedule:
-        return build_linear(self.beta_start, self.beta_end, self.steps)
+        """The linear schedule, built once per (beta_start, beta_end, steps) in a
+        process and shared, so its arrays are read-only."""
+        return _schedule(self.beta_start, self.beta_end, self.steps)
 
     def sampler_options(self) -> SamplerOptions:
         noise = self.noise if self.reverse_noise == "same" else NoiseSpec("gaussian")
@@ -87,6 +90,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return schema.from_json(cls, d)
+
+
+@lru_cache(maxsize=8)
+def _schedule(beta_start: float, beta_end: float, steps: int) -> Schedule:
+    s = build_linear(beta_start, beta_end, steps)
+    for a in (s.beta, s.alpha, s.alpha_bar):
+        a.setflags(write=False)
+    return s
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ the first time it is needed, not on import. It is cached in a private
 per-user directory, ``ddpm1d-kernel-<uid>`` under the system temp directory.
 The cached file is named by the sha256 of the source, the compiler's version,
 the flags and the extension suffix, so an edited source, another compiler or
-another Python gets a build of its own. A build writes a temporary name and
-publishes it with ``os.replace``, so processes that build at once do not race.
+another Python gets a build of its own. The default flags add the widest
+vector ISA that the host runs and that the gradient has lanes for, so each ISA
+has a build of its own too, with the same bits. A build writes a temporary
+name and publishes it with ``os.replace``, so processes that build at once do
+not race.
 """
 
 from __future__ import annotations
@@ -29,13 +32,29 @@ CC = "gcc"
 # no fused multiply-add: the bits must not depend on -O level or -march; functions and
 # loops start on 64-byte lines, so an edit elsewhere in the file does not move their speed
 FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=64")
+# numpy's name for each CPU feature that widens the gradient's lanes, widest first, and its flag
+ISA_FLAGS = (("AVX512F", "-mavx512f"), ("AVX2", "-mavx2"))
 
 
-def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] = FLAGS) -> ModuleType:
-    """The compiled kernel, built with ``CC`` and ``flags`` into ``cache_dir``
-    (default: the cache described above) unless a build is already there.
+@cache
+def host_flags() -> tuple[str, ...]:
+    """FLAGS and the flag of the first ISA_FLAGS feature that numpy finds the
+    host running (its table also checks that the OS saves the wide registers);
+    FLAGS alone if there is none."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return FLAGS + next(((f,) for name, f in ISA_FLAGS if __cpu_features__.get(name)), ())
+
+
+def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = None) -> ModuleType:
+    """The compiled kernel, built with ``CC`` and ``flags`` (default:
+    ``host_flags()``) into ``cache_dir`` (default: the cache described above)
+    unless a build is already there.
 
     A missing compiler or ``Python.h`` raises FileNotFoundError naming it."""
+    flags = host_flags() if flags is None else flags
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     parts = [SOURCE.read_bytes(), str(compiler_version(CC)).encode(),
              *(f.encode() for f in flags), suffix.encode()]
@@ -100,10 +119,10 @@ def _build(path: Path, flags: tuple[str, ...]) -> None:
 
 
 def provenance() -> dict:
-    """What the kernel's bits depend on: its source, compiler and flags, the
-    same values that name its cached build."""
+    """What names the kernel's cached build: its source, compiler and flags,
+    the ISA flag included."""
     return {
         "source_sha256": hashlib.sha256(SOURCE.read_bytes()).hexdigest(),
         "compiler": compiler_version(CC),
-        "flags": list(FLAGS),
+        "flags": list(host_flags()),
     }

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddpm1d import cli, experiment
+from ddpm1d import cli, experiment, kernel
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
@@ -169,8 +169,10 @@ def test_run_single_tiny(tmp_path, capsys):
     assert manifest["artifact_version"]
     assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags"}
     assert len(manifest["kernel"]["source_sha256"]) == 64
-    assert manifest["kernel"]["flags"] == ["-O2", "-ffp-contract=off", "-falign-functions=64",
-                                           "-falign-loops=64"]
+    flags = manifest["kernel"]["flags"]
+    assert flags[:4] == ["-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=64"]
+    assert flags[4:] in ([], ["-mavx2"], ["-mavx512f"])  # the host's ISA
+    assert flags == list(kernel.host_flags())
 
 def test_manifest_round_trips_to_identical_config(tmp_path):
     config = write_tiny_config(

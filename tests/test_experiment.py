@@ -376,6 +376,26 @@ def test_config_construction_builds_no_schedule(monkeypatch):
         ExperimentConfig(steps=0)
 
 
+def test_a_schedule_is_built_once_per_triple_and_is_read_only(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return schedule.build_linear(*args)
+
+    monkeypatch.setattr(experiment, "build_linear", counting)
+    cfg = tiny_cfg(beta_start=0.0123, beta_end=0.0456, steps=77)  # a triple no other test uses
+    s = cfg.schedule()
+    assert replace(cfg, epochs=3, trials=5).schedule() is s
+    assert built == [(0.0123, 0.0456, 77)]
+    assert replace(cfg, steps=78).schedule().T == 78 and len(built) == 2
+    fresh = schedule.build_linear(0.0123, 0.0456, 77)
+    for name in ("beta", "alpha", "alpha_bar"):
+        assert getattr(s, name).tobytes() == getattr(fresh, name).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[0] = 0.5
+
+
 def test_config_dict_roundtrip():
     cfg = tiny_cfg(noise=NoiseSpec("mixture", 0.5, 100.0), error_metric="abs_mean")
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,5 +1,5 @@
 """The compiled network kernel against a numpy reference, its input checks,
-its build cache and its independence from optimization flags; and
+its build cache and its independence from optimization and ISA flags; and
 ``train_epoch``, one call per training epoch, against the loop of
 ``loss_and_grad_arrays`` and ``adam_step`` that it replaces.
 
@@ -169,6 +169,82 @@ def test_zero_preactivation_has_zero_subgradient():
     assert grad[3] != 0.0 and grad[65] != 0.0 and grad[97] != 0.0
 
 
+# the ISA variants of the build; the gradient runs 2, 4 or 8 units to a vector
+ISAS = {"baseline": (), "avx2": ("-mavx2",), "avx512f": ("-mavx512f",)}
+
+
+def host_runs(name):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    feature = {"avx2": "AVX2", "avx512f": "AVX512F"}.get(name)
+    return feature is None or bool(__cpu_features__.get(feature))
+
+
+def isa_or_skip(name):
+    """ISAS[name], or a skip where the host does not run it."""
+    if not host_runs(name):
+        pytest.skip(f"the host does not run {name}")
+    return ISAS[name]
+
+
+@pytest.fixture(scope="module")
+def isa_builds(tmp_path_factory):
+    """The kernel built for each ISA variant that the host runs, by name."""
+    return {name: kernel.load(tmp_path_factory.mktemp(name), (*kernel.FLAGS, *isa))
+            for name, isa in ISAS.items() if host_runs(name)}
+
+
+def loop_loss_and_grad(theta, X, y):
+    """The loss and gradient as the kernel summed them when it skipped off
+    units: each row in order adds its b2 term, then its terms for units
+    0..31, skipping a unit unless z > 0; in Python floats, on the predictions
+    of ``ordered_forward``."""
+    th, n = [float(v) for v in theta], len(y)
+    pred, scale = ordered_forward(theta, X), 2.0 / n
+    g, sq = [0.0] * N_PARAMS, 0.0
+    for i in range(n):
+        x, t = float(X[i, 0]), float(X[i, 1])
+        e = float(pred[i]) - float(y[i])
+        d = scale * e
+        sq += e * e
+        g[128] += d
+        for j in range(HIDDEN):
+            z = (x * th[N_IN * j] + t * th[N_IN * j + 1]) + th[64 + j]
+            if not z > 0.0:
+                continue
+            dz = d * th[96 + j]
+            g[96 + j] += d * z
+            g[N_IN * j] += dz * x
+            g[N_IN * j + 1] += dz * t
+            g[64 + j] += dz
+    return sq / n, np.array(g)
+
+
+# 1, 7 and 9 leave a partial block of rows, and 64 is a training batch
+@pytest.mark.parametrize("n", [1, 7, 9, 64])
+@pytest.mark.parametrize("case", ["finite", "z-zero", "zero-error", "nan-target", "inf-target"])
+def test_unit_lanes_keep_the_skipping_loops_bits(isa_builds, n, case):
+    theta = random_theta(n)
+    X, y = inputs(n, n)
+    with np.errstate(all="ignore"):
+        if case == "z-zero":  # unit 0's z is exactly 0 in row 0, and off
+            theta[0:2], theta[64], X[0, 0] = (1.0, 0.0), 0.0, 0.0
+        elif case == "zero-error":  # row 0's d is +0, and an on unit's dz = d * W2 is -0
+            theta[N_IN * 5 : N_IN * 5 + 2], theta[64 + 5], theta[96 + 5] = (0.0, 0.0), 1.0, -0.5
+            y[0] = ordered_forward(theta, X)[0]
+        elif case == "nan-target":
+            y[n // 2] = np.nan
+        elif case == "inf-target":
+            y[-1] = np.inf
+        loss, grad = loop_loss_and_grad(theta, X, y)
+    assert isa_builds
+    for name, k in isa_builds.items():
+        out = np.empty(N_PARAMS)
+        got = k.loss_and_grad(theta, X, y, out)
+        assert same_bits(np.array([got]), np.array([loss])), name
+        assert same_bits(out, grad), name
+
+
 def test_adam_is_bit_equal_to_numpy():
     assert_adam_matches_numpy(start=0)
 
@@ -241,12 +317,15 @@ def test_wrappers_accept_what_numpy_accepted():
     assert new.tobytes() == ref.tobytes() and s.m.tobytes() == ref_s.m.tobytes()
 
 
-def test_flags_do_not_move_the_bits(tmp_path):
-    base = kernel.load(tmp_path / "base")
-    native = kernel.load(tmp_path / "native", (*kernel.FLAGS, "-O3", "-march=native"))
-    assert base.__file__ != native.__file__
+# each ISA at -O3, and -march=native, against the baseline build at -O2
+@pytest.mark.parametrize("name", [*ISAS, "native"])
+def test_flags_do_not_move_the_bits(tmp_path, name):
+    extra = ("-march=native",) if name == "native" else isa_or_skip(name)
+    base = kernel.load(tmp_path / "base", kernel.FLAGS)
+    variant = kernel.load(tmp_path / "variant", (*kernel.FLAGS, *extra, "-O3"))
+    assert base.__file__ != variant.__file__
     thetas = []
-    for k in (base, native):
+    for k in (base, variant):
         theta, m, v = random_theta(6), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
         for t in range(1, 301):
             X, y = inputs(t, 64)
@@ -265,16 +344,34 @@ def test_flags_do_not_move_the_bits(tmp_path):
     X, _ = inputs(6, 2001)
     outs = [np.empty(2001), np.empty(2001)]
     base.forward(thetas[0], X, outs[0])
-    native.forward(thetas[0], X, outs[1])
+    variant.forward(thetas[0], X, outs[1])
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
-def test_the_kernel_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("name", ISAS)
+def test_the_kernel_compiles_without_warnings(tmp_path, name):
     # -Wextra is left out: it warns on the unused ``self`` of every entry
-    k = kernel.load(tmp_path, (*kernel.FLAGS, "-Wall", "-Werror"))
+    k = kernel.load(tmp_path, (*kernel.FLAGS, *isa_or_skip(name), "-Wall", "-Werror"))
     out = np.empty(1)
     k.forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
     assert out[0] == 81.0
+
+
+def test_the_default_build_is_for_the_widest_isa_the_host_runs(tmp_path, monkeypatch):
+    from numpy._core import _multiarray_umath as umath
+
+    host = umath.__cpu_features__
+    isa = ("-mavx512f",) if host.get("AVX512F") else ("-mavx2",) if host.get("AVX2") else ()
+    assert kernel.host_flags() == (*kernel.FLAGS, *isa)
+    assert kernel.provenance()["flags"] == [*kernel.FLAGS, *isa]
+    kernel.load(tmp_path)
+    kernel.load(tmp_path, (*kernel.FLAGS, *isa))
+    assert len(list(tmp_path.iterdir())) == 1  # the default build is that one
+    for features, want in [({"AVX512F": True, "AVX2": True}, ("-mavx512f",)),
+                           ({"AVX512F": False, "AVX2": True}, ("-mavx2",)),
+                           ({"AVX2": False}, ()), ({}, ())]:
+        monkeypatch.setattr(umath, "__cpu_features__", features)
+        assert kernel.host_flags.__wrapped__() == (*kernel.FLAGS, *want)
 
 
 def test_another_compiler_gets_a_build_of_its_own(tmp_path, monkeypatch):
