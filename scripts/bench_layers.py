@@ -30,13 +30,17 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
 - ``write_csv``: ``cli.write_csv`` of the ``fanout`` workload's 600 trial rows
   (table1's three families, 200 trials each) and their 3 summary rows, into a
   temporary directory;
+- ``write_manifest``: ``cli.write_manifest`` of the ``fanout`` workload's config
+  into a temporary directory;
+- ``cli_startup``: one fresh ``python -m ddpm1d check`` process per call, from
+  its start to its exit, with this process's environment;
 - ``run_trials``: ``experiment.run_trials`` of the ``fanout`` workload's 600
   (family, trial) tasks, its config read from ``perfbench/workloads/fanout.json``,
   at ``workers=2``, the process pool's start and shutdown included: pool
   dispatch of nearly free trials.
 
 The output is one JSON object keyed by entry. ``--tiny`` shrinks every input,
-and the repeats to 3, for a smoke run of a few milliseconds.
+and the repeats to 3, for a smoke run of about a second.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -116,6 +122,9 @@ def measure(tiny: bool) -> dict:
     with tempfile.TemporaryDirectory() as out_dir:
         write_csv = timed(lambda: cli.write_csv(trial_rows, summary_rows, out_dir), repeats,
                           calls // 10 or 1, ms, {"rows": len(trial_rows)}, "ms")
+        write_manifest = timed(lambda: cli.write_manifest(fanout_cfg, out_dir, 1.0, 2, "table1"),
+                               repeats, calls // 10 or 1, ms, {"experiment": "table1"}, "ms")
+    check = [sys.executable, "-m", "ddpm1d", "check"]
     tasks = [(replace(fanout_cfg, noise=spec), i) for _, spec in table1_distributions()
              for i in range(fanout_trials)]
     noise = {f"sample_block.{spec.label()}":
@@ -143,6 +152,9 @@ def measure(tiny: bool) -> dict:
         "reverse_step": timed(reverse_step, repeats, calls // 10 or 1, us,
                               {"chains": chains, "t": t, "family": "gaussian"}, "us"),
         "write_csv": write_csv,
+        "write_manifest": write_manifest,
+        "cli_startup": timed(lambda: subprocess.run(check, check=True, stdout=subprocess.DEVNULL),
+                             repeats, 1, ms, {"command": "python -m ddpm1d check"}, "ms"),
         "run_trials": timed(lambda: run_trials(tasks, workers=2), repeats, 1, ms,
                             {"tasks": len(tasks), "workers": 2}, "ms"),
     }

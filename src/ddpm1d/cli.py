@@ -15,6 +15,9 @@ import time
 import traceback
 from pathlib import Path
 
+# before numpy loads: nothing calls BLAS, and OpenBLAS's idle threads would be forked
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__, kernel
 from .errors import ConfigError, DivergenceError
 from .experiment import (
@@ -69,8 +72,9 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object; a key named twice, which json.loads would read last-wins, raises."""
+    first = {}  # each key's first index, so that the check takes linear time
     for i, (key, _) in enumerate(pairs):
-        if key in dict(pairs[:i]):
+        if first.setdefault(key, i) != i:
             raise ConfigError(f"config key {key!r} appears more than once")
     return dict(pairs)
 
@@ -291,7 +295,3 @@ def main(argv: list[str] | None = None) -> int:
             traceback.print_exc()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

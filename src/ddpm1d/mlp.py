@@ -7,8 +7,8 @@ The parameters are one flat (129,) float64 vector theta in [W1 rows, b1, W2,
 b2] order, the weight-dump order. Nothing wraps it: init_params and adam_step
 return a fresh one, and train_epoch, one call per epoch, builds the epoch's
 rows from its timestep uniforms, then updates it and the AdamState in place.
-The kernel reads C-contiguous float64 buffers; read-only array arguments are
-converted to that, with no copy when they already are.
+Every array handed to these functions goes to the kernel as it is, so it must
+already be a C-contiguous float64 array; the kernel refuses one that is not.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class TrainBatch:
     targets: np.ndarray  # (n,)
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
+        self.inputs = np.atleast_2d(np.ascontiguousarray(self.inputs, dtype=np.float64))
         self.targets = np.asarray(self.targets, dtype=np.float64).ravel()
         if self.inputs.shape != (len(self.targets), N_IN) or len(self.targets) == 0:
             raise ValueError("batch needs matching, nonempty inputs (n, 2) and targets (n,)")
@@ -76,9 +76,8 @@ def init_params(g: RngStream) -> np.ndarray:
 
 def forward_batch(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
-    X = _f64(X)
     out = np.empty(len(X))
-    _kernel().forward(_f64(theta), X, out)
+    _kernel().forward(theta, X, out)
     return out
 
 
@@ -88,16 +87,16 @@ def loss_and_grad_arrays(
     """Mean squared error and its exact gradient in flat parameter layout; the
     ReLU subgradient at 0 is 0."""
     grad = np.empty(N_PARAMS)
-    return _kernel().loss_and_grad(_f64(theta), _f64(X), _f64(y), grad), grad
+    return _kernel().loss_and_grad(theta, X, y, grad), grad
 
 
 def adam_step(
     theta: np.ndarray, s: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; pure: the kernel steps copies of theta and ``s``."""
-    theta, m, v = (np.array(a, dtype=np.float64) for a in (theta, s.m, s.v))
+    theta, m, v = theta.copy(), s.m.copy(), s.v.copy()
     t = s.step_count + 1
-    _kernel().adam(theta, m, v, _f64(grads), lr, t)
+    _kernel().adam(theta, m, v, grads, lr, t)
     return theta, AdamState(m, v, t)
 
 
@@ -115,10 +114,10 @@ def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray,
     bit for bit, all in one more kernel call; a rebound name (a profiler's timer, say) is
     called per minibatch instead. Returns the losses times their row counts, summed in order,
     and None; or, at the first non-finite loss, the sum before it and its minibatch index, its
-    step not taken. theta, ``s.m`` and ``s.v`` must be writable C-contiguous float64 arrays.
+    step not taken. theta, ``s.m`` and ``s.v`` must be writable.
     """
-    eps, X = _f64(eps), np.empty((len(u), N_IN))
-    _kernel().rows(_f64(u), eps, x0, _f64(alpha_bar), X)
+    X = np.empty((len(u), N_IN))
+    _kernel().rows(u, eps, x0, alpha_bar, X)
     if (loss_and_grad_arrays, adam_step) == _FUSED:
         sq_err, s.step_count, bad = _kernel().train_epoch(
             theta, s.m, s.v, s.step_count, X, eps, batch_size, lr)
@@ -133,11 +132,6 @@ def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray,
         theta[:], new = adam_step(theta, s, grad, lr)
         s.m, s.v, s.step_count = new.m, new.v, new.step_count
     return sq_err, None
-
-
-def _f64(a) -> np.ndarray:
-    # what the kernel reads; no copy when ``a`` already is one
-    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def finite_diff_check(theta: np.ndarray, batch: TrainBatch, h: float = 1e-6) -> float:

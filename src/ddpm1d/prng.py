@@ -5,11 +5,6 @@ pair, so runs are bit-reproducible and trials can execute in parallel in any
 order. Substreams are derived by SeedSequence hashing (no fast-forwarding),
 which makes distinct stream ids statistically independent by construction.
 
-The experiment harness assigns stream ids per trial ``i`` as:
-
-    2 * i      weight init, then evaluation noise (after the init draws)
-    2 * i + 1  training noise
-
 Draws come in blocks. Gaussians come from the Box-Muller transform on
 consecutive uniform pairs; both outputs of a pair are consumed in order, and
 when a block has odd length the unused second variate is cached and opens the
@@ -28,24 +23,14 @@ _TWO_PI = 2.0 * np.pi
 
 
 class RngStream:
-    """One independent uniform/gaussian substream keyed by (base_seed, stream_id)."""
+    """One independent uniform/gaussian substream keyed by (base_seed, stream_id), both >= 0."""
 
     def __init__(self, base_seed: int, stream_id: int):
-        if stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
-        self.base_seed = int(base_seed)
-        self.stream_id = int(stream_id)
-        self._gen = Generator(PCG64(SeedSequence([self.base_seed, self.stream_id])))
+        self._gen = Generator(PCG64(SeedSequence([base_seed, stream_id])))
         self._gauss_cache: float | None = None
-        # diagnostic: total uniform draws consumed so far
-        self.uniforms_drawn = 0
-
-    def __repr__(self) -> str:
-        return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` consecutive doubles in [0, 1), each with 53 bits of mantissa entropy."""
-        self.uniforms_drawn += n
         return self._gen.random(n)
 
     def gaussians(self, n: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +111,15 @@ def test_a_key_named_twice_is_rejected(tmp_path, capsys, content, key):
     assert main(["run", "--config", str(path), "--out", str(out_dir), "--quiet"]) == 1
     assert f"config error: config key '{key}' appears more than once" in capsys.readouterr().err
     assert not out_dir.exists()
+
+def test_a_wide_config_object_is_checked_in_linear_time(tmp_path, capsys):
+    # a check that compares every key with the keys before it takes minutes here
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({f"key{i}": i for i in range(100_000)}))
+    start = time.perf_counter()
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1 and time.perf_counter() - start < 5.0
+    assert "config error: unknown config key(s)" in capsys.readouterr().err
 
 def test_normalize_mixture_key(tmp_path):
     path = write_tiny_config(
@@ -430,6 +442,44 @@ def test_progress_lines_follow_csv_order_at_any_worker_count(tmp_path, capsys):
     rows = (tmp_path / "out1" / "trials.csv").read_text().splitlines()[1:]
     expected = [f"[{row.split(',')[1]}] trial {row.split(',')[2]}:" for row in rows]
     assert [line.split(" loss=")[0] for line in logs[0].splitlines()] == expected
+
+class ForcedStartPool(ProcessPoolExecutor):
+    """The trial pool, started by ``method`` whatever run_trials asks for; it
+    records the method each pool used."""
+
+    method = "fork"
+    used: list[str] = []
+
+    def __init__(self, max_workers, mp_context=None):
+        super().__init__(max_workers, mp_context=multiprocessing.get_context(self.method))
+        ForcedStartPool.used.append(self._mp_context.get_start_method())
+
+def test_trials_csv_is_the_same_under_every_start_method(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", ForcedStartPool)
+    monkeypatch.setattr(ForcedStartPool, "used", [])
+    config = write_tiny_config(tmp_path, trials=3)
+    methods = [m for m in ("fork", "forkserver", "spawn")
+               if m in multiprocessing.get_all_start_methods()]
+    csvs = []
+    for method in methods:
+        monkeypatch.setattr(ForcedStartPool, "method", method)
+        out_dir = tmp_path / method
+        assert main(["run", "--experiment", "table1", "--config", str(config),
+                     "--out", str(out_dir), "--workers", "2", "--quiet"]) == 0
+        csvs.append((out_dir / "trials.csv").read_bytes())
+    assert ForcedStartPool.used == methods and "spawn" in methods
+    assert csvs == [csvs[0]] * len(methods)
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_the_cli_process_has_one_thread_to_fork_from():
+    # numpy's OpenBLAS starts a thread per further CPU unless it is told not to
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child = "import os, ddpm1d.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 def test_workers_default_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

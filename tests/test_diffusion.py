@@ -127,20 +127,20 @@ def test_reverse_mean_with_null_predictor(sched):
     )
 
 
-def test_final_step_noiseless_consumes_no_draw(sched):
+def test_final_step_noiseless_consumes_no_draw(sched, assert_drawn):
     null = lambda x, t: 0.0
     s1 = build_linear(0.5, 0.5, 1)
     # one step: only the init block of 4 gaussians (2 pairs) is drawn
     g = seed_stream(0, 0)
     generate_block(null, 4, s1, gaussian_options(), g)
-    assert g.uniforms_drawn == 4
+    assert_drawn(g, 0, 0, 4)
     g = seed_stream(0, 0)
     generate_block(null, 4, s1, gaussian_options(final_step_noiseless=False), g)
-    assert g.uniforms_drawn == 8
+    assert_drawn(g, 0, 0, 8)
     # T steps: the init block, then one block per step above t = 1
     g = seed_stream(0, 0)
     generate_block(null, 2, sched, gaussian_options(), g)
-    assert g.uniforms_drawn == 2 * sched.T
+    assert_drawn(g, 0, 0, 2 * sched.T)
 
 
 def test_reverse_step_final_equals_mean(sched):

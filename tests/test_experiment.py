@@ -1,4 +1,5 @@
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
@@ -73,11 +74,11 @@ def test_epoch_mean_loss_drops_over_fifty_epochs():
     assert fiftieth < first
 
 
-def test_eval_stream_continues_init_stream():
+def test_eval_stream_continues_init_stream(assert_drawn):
     cfg = tiny_cfg()
     a = init_stream(cfg, 3)
     init_params(a)
-    assert a.uniforms_drawn == INIT_DRAWS
+    assert_drawn(a, cfg.base_seed, 6, INIT_DRAWS)
     b = eval_stream(cfg, 3)
     assert np.array_equal(a.uniforms(5), b.uniforms(5))
 
@@ -181,12 +182,15 @@ def test_run_trials_rejects_non_positive_workers(workers):
 
 
 class RecordingPool(ThreadPoolExecutor):
-    """Stands in for the process pool and records every one built."""
+    """Stands in for the process pool and records every one built: its size
+    and the start method it was asked for (None: the platform's default)."""
 
     built: list[int] = []
+    methods: list[str | None] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         RecordingPool.built.append(max_workers)
+        RecordingPool.methods.append(mp_context and mp_context.get_start_method())
         super().__init__(max_workers=max_workers)
 
 
@@ -249,9 +253,12 @@ def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "built", [])
+    monkeypatch.setattr(RecordingPool, "methods", [])
     cfg = tiny_cfg(trials=1, epochs=1)
     pooled = run_suite(cfg, table1_distributions(), workers=64)
     assert RecordingPool.built == [3]  # one pool for 3 (distribution, trial) tasks
+    # on Linux the pool forks, whatever Python's default start method
+    assert RecordingPool.methods == (["fork"] if sys.platform == "linux" else [None])
     serial = run_suite(cfg, table1_distributions(), workers=1)
     assert RecordingPool.built == [3]
     assert [run.results for run in pooled] == [run.results for run in serial]

@@ -301,20 +301,42 @@ def test_wrong_sizes_raise_instead_of_reading_past_the_end():
         mlp._kernel().forward(theta, np.asfortranarray(X), out)
 
 
-def test_wrappers_accept_what_numpy_accepted():
-    # a list theta, a Fortran-ordered X and an integer y are converted, as the
-    # numpy bodies' arithmetic converted them
-    theta = random_theta(1)
+def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
+    # the wrappers convert nothing: a list theta, a Fortran-ordered X, an int64 y
+    # and a negative-stride view each raise, and nothing is written
     X, y = inputs(1, 16)
-    yi = np.round(y * 3).astype(np.int64)
-    loss, grad = loss_and_grad_arrays(theta, X, yi.astype(np.float64))
-    loss_f, grad_f = loss_and_grad_arrays(list(theta), np.asfortranarray(X), yi)
-    assert loss_f == loss and grad_f.tobytes() == grad.tobytes()
-    rev = X[::-1]  # a negative-stride view
-    assert forward_batch(list(theta), rev).tobytes() == forward_batch(theta, rev.copy()).tobytes()
-    new, s = adam_step(list(theta), AdamState([0.0] * N_PARAMS, [0.0] * N_PARAMS), list(grad), 1e-3)
-    ref, ref_s = adam_step(theta, AdamState.zeros(), grad, 1e-3)
-    assert new.tobytes() == ref.tobytes() and s.m.tobytes() == ref_s.m.tobytes()
+    _, grad = loss_and_grad_arrays(random_theta(1), X, y)
+    u, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(1, 1))
+    ab, F = SCHED.alpha_bar, np.asfortranarray(X)
+    refused = {
+        "bytes-like object is required": [
+            lambda th, s: forward_batch(list(th), X),
+            lambda th, s: loss_and_grad_arrays(list(th), X, y),
+            lambda th, s: adam_step(list(th), s, grad, 1e-3),
+            lambda th, s: train_epoch(list(th), s, u, eps, 7.0, ab, 8, 1e-3),
+        ],
+        "y must be a float64 array": [
+            lambda th, s: loss_and_grad_arrays(th, X, y.astype(np.int64)),
+        ],
+        "eps must be a float64 array": [
+            lambda th, s: train_epoch(th, s, u, eps.astype(np.int64), 7.0, ab, 8, 1e-3),
+        ],
+        "not C-contiguous": [
+            lambda th, s: forward_batch(th, F),
+            lambda th, s: loss_and_grad_arrays(th, F, y),
+            lambda th, s: forward_batch(th, X[::-1]),
+            lambda th, s: loss_and_grad_arrays(th, X, y[::-1]),
+            lambda th, s: adam_step(th, s, grad[::-1], 1e-3),
+            lambda th, s: train_epoch(th, s, u[::-1], eps, 7.0, ab, 8, 1e-3),
+        ],
+    }
+    for match, calls in refused.items():
+        for call in calls:
+            theta, s = random_theta(1), AdamState.zeros()
+            with pytest.raises((TypeError, ValueError), match=match):
+                call(theta, s)
+            assert theta.tobytes() == random_theta(1).tobytes()
+            assert s.step_count == 0 and not s.m.any() and not s.v.any()
 
 
 # each ISA at -O3, and -march=native, against the baseline build at -O2
@@ -667,7 +689,7 @@ def test_train_epoch_checks_its_other_arguments():
     u, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(2, 1))
     ab = SCHED.alpha_bar
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):  # steps in place of uniforms
-        train_epoch(theta, s, numpy_steps(u, 500), eps, 7.0, ab, 64, 1e-3)
+        train_epoch(theta, s, numpy_steps(u, 500).astype(np.float64), eps, 7.0, ab, 64, 1e-3)
     with pytest.raises(ValueError, match="one value per uniform"):
         train_epoch(theta, s, u, eps[:63], 7.0, ab, 64, 1e-3)
     with pytest.raises(ValueError, match="batch_size"):

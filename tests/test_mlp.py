@@ -68,10 +68,10 @@ def test_init_bounds_and_zero_biases():
     assert b2 == 0.0
 
 
-def test_init_deterministic_and_draw_count():
+def test_init_deterministic_and_draw_count(assert_drawn):
     g = seed_stream(7, 0)
     p = init_params(g)
-    assert g.uniforms_drawn == INIT_DRAWS
+    assert_drawn(g, 7, 0, INIT_DRAWS)
     q = init_params(seed_stream(7, 0))
     assert np.array_equal(p, q)
 
@@ -243,6 +243,14 @@ def test_bad_learning_rate_rejected():
     p = random_params(0)
     with pytest.raises(ValueError):
         adam_step(p, AdamState.zeros(), np.zeros(N_PARAMS), lr=0.0)
+
+
+def test_batch_holds_what_the_kernel_reads():
+    # a Fortran-ordered integer X and a strided y become C-contiguous float64 arrays
+    batch = TrainBatch(np.asfortranarray([[1, 2], [3, 4], [5, 6]]), np.arange(6)[::2])
+    for a in (batch.inputs, batch.targets):
+        assert a.flags.c_contiguous and a.dtype == np.float64
+    assert finite_diff_check(init_params(seed_stream(4, 0)), batch) < 1e-5
 
 
 def test_batch_validation():

@@ -90,23 +90,23 @@ def test_block_equals_scalar_for_unit_families(family):
     assert np.array_equal(block, singles)
 
 
-def test_scalar_draw_accounting():
+def test_scalar_draw_accounting(assert_drawn):
     # one-element blocks; uniform and arcsine: one draw per value
     for family in ("uniform", "arcsine"):
         g = seed_stream(11, 0)
         sample_block(NoiseSpec(family), 1, g)
-        assert g.uniforms_drawn == 1
+        assert_drawn(g, 11, 0, 1)
     # mixture: selector plus a gaussian from the shared pair cache
     g = seed_stream(11, 1)
     spec = NoiseSpec("mixture")
     sample_block(spec, 1, g)
-    assert g.uniforms_drawn == 3
+    assert_drawn(g, 11, 1, 3)
     sample_block(spec, 1, g)
-    assert g.uniforms_drawn == 4
+    assert_drawn(g, 11, 1, 4)
     # a block of n: n selectors, then n gaussians from ceil(n / 2) pairs
     g = seed_stream(11, 2)
     sample_block(spec, 5, g)
-    assert g.uniforms_drawn == 5 + 6
+    assert_drawn(g, 11, 2, 5 + 6)
 
 
 def test_mixture_block_layout_selectors_then_gaussians():

@@ -64,14 +64,14 @@ def test_gaussian_pair_cache_continuity():
     assert np.array_equal(left, b.gaussians(7))
 
 
-def test_gaussian_draw_accounting():
+def test_gaussian_draw_accounting(assert_drawn):
     g = seed_stream(5, 0)
     g.gaussians(4)
-    assert g.uniforms_drawn == 4
+    assert_drawn(g, 5, 0, 4)
     g.gaussians(1)  # opens a new pair
-    assert g.uniforms_drawn == 6
+    assert_drawn(g, 5, 0, 6)
     g.gaussians(1)  # served from the cache
-    assert g.uniforms_drawn == 6
+    assert_drawn(g, 5, 0, 6)
 
 
 def test_gaussian_moments():
@@ -95,5 +95,6 @@ def test_uniform_block_equals_scalar():
 
 
 def test_negative_stream_id_rejected():
-    with pytest.raises(ValueError):
-        seed_stream(0, -1)
+    for base_seed, stream_id in ((0, -1), (-1, 0)):  # a negative base seed too
+        with pytest.raises(ValueError):
+            seed_stream(base_seed, stream_id)
