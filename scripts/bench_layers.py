@@ -22,6 +22,10 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   ``mlp.train_epoch``;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
+- ``train_epoch.late``: one epoch of that gaussian trial, its noise draws and
+  ``mlp.train_epoch``, from a state trained once for 1000 epochs and then on
+  through the timed epochs: the late epochs, where a dead unit's Adam moment
+  has decayed for hundreds of steps;
 - ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
   config (2000 chains of 500 steps) on weights trained there for 100 epochs;
 - ``reverse_step``: one step of that evaluation's reverse chains at t = 250,
@@ -57,9 +61,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ddpm1d import cli, diffusion, mlp
-from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, run_trials,
-                               summarize, table1_distributions, train_trial)
+from ddpm1d import cli, diffusion, kernel, mlp
+from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, init_stream,
+                               run_trials, summarize, table1_distributions, train_stream,
+                               train_trial)
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
@@ -82,6 +87,7 @@ def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str)
 
 def measure(tiny: bool) -> dict:
     rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
+    late_epochs = 5 if tiny else 1000
     fanout_cfg = cli.parse_config(FANOUT_CONFIG)
     fanout_trials = 2 if tiny else fanout_cfg.trials  # per table1 family
     draws = 20 if tiny else 1000  # one epoch's samples
@@ -114,6 +120,17 @@ def measure(tiny: bool) -> dict:
         x = diffusion.reverse_mean(pred, x_t, t, sched)
         x += np.sqrt(sched.beta[t - 1]) * sample_block(gaussian, chains, g)
 
+    late_theta, late_state = mlp.init_params(init_stream(train_cfg, 0)), mlp.AdamState.zeros()
+    late_g = train_stream(train_cfg, 0)
+
+    def late_epoch():  # train_trial's epoch
+        n = train_cfg.samples_per_epoch
+        u, eps = late_g.uniforms(n), sample_block(train_cfg.noise, n, late_g)
+        mlp.train_epoch(late_theta, late_state, u, eps, train_cfg.x0, alpha_bar, batch,
+                        train_cfg.learning_rate)
+
+    for _ in range(late_epochs):
+        late_epoch()
     losses, errors = g.uniforms(fanout_trials), g.uniforms(fanout_trials)
     trials = [TrialResult(i, 0, float(losses[i]), float(errors[i]), False)
               for i in range(fanout_trials)]
@@ -142,11 +159,15 @@ def measure(tiny: bool) -> dict:
         "uniforms": timed(lambda: g.uniforms(draws), repeats, calls, us, {"draws": draws}, "us"),
         "gaussians": timed(lambda: g.gaussians(draws), repeats, calls, us, {"draws": draws},
                            "us"),
-        "rows": timed(lambda: mlp._kernel().rows(u, eps, 7.0, alpha_bar, out), repeats, calls,
+        "rows": timed(lambda: kernel.default().rows(u, eps, 7.0, alpha_bar, out), repeats, calls,
                       us, {"rows": draws, "T": steps}, "us"),
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
                               "batch_size": batch}, "ms"),
+        "train_epoch.late": timed(late_epoch, repeats, calls // 10 or 1, ms,
+                                  {"after_epochs": late_epochs, "family": "gaussian",
+                                   "samples_per_epoch": train_cfg.samples_per_epoch,
+                                   "batch_size": batch}, "ms"),
         "evaluate_trial": timed(lambda: evaluate_trial(trained, eval_cfg, 0), repeats, 1, ms,
                                 {"chains": chains, "steps": steps, "family": "gaussian"}, "ms"),
         "reverse_step": timed(reverse_step, repeats, calls // 10 or 1, us,

@@ -18,12 +18,25 @@
  * loader builds for the widest of these ISAs that the host runs.
  *
  * The entries loss_and_grad, adam and train_epoch share one loss-and-gradient
- * body and one Adam body. Each entry lists its array arguments in one table of
- * arg descriptors, and borrow checks them all, as C-contiguous float64 buffers
- * of the right length, before anything is read or written.
+ * body and one Adam body. Adam runs its first 128 values in vector lanes and
+ * the last one as a scalar tail; division and sqrt round the same in a lane as
+ * in a scalar, and the module is compiled with -fno-math-errno, so that sqrt
+ * needs no errno branch. A first moment below DBL_MIN in magnitude is stored
+ * as +0: a dead unit's moment would otherwise decay into the subnormals, stick
+ * there and slow every later step. Each entry lists its array arguments in one
+ * table of arg descriptors, and borrow checks them all, as C-contiguous float64
+ * buffers of the right length, before anything is read or written.
+ *
+ * noise maps uniforms to each family's noise, in ddpm1d.noise's block layouts
+ * and by numpy's operations in numpy's order. sin and cos are libm's scalar
+ * functions, which numpy's float64 sin and cos equal (GCC joins a Box-Muller
+ * pair's two into one call of libm's sincos, which has their bits); no libmvec
+ * vector variant is used. The Box-Muller radius takes numpy's log1p from its
+ * caller, since numpy's vector log1p and libm's differ in the last bit.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <string.h>
 
@@ -70,12 +83,12 @@ static void release(arg *a, int k)
 
 /* Borrow a[0..k-1]'s buffers, each C-contiguous float64 values, writable if it
  * is written and holding its count; on any failure, release those already
- * borrowed. */
+ * borrowed. Every error names its argument. */
 static int borrow(arg *a, int k)
 {
     for (int i = 0; i < k; i++) {
-        const int flags = PyBUF_ND | PyBUF_FORMAT | (a[i].writable ? PyBUF_WRITABLE : 0);
-        if (PyObject_GetBuffer(a[i].obj, &a[i].view, flags) < 0) {
+        if (PyObject_GetBuffer(a[i].obj, &a[i].view, PyBUF_ND | PyBUF_FORMAT) < 0) {
+            PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous float64 array", a[i].name);
             release(a, i);
             return -1;
         }
@@ -84,6 +97,8 @@ static int borrow(arg *a, int k)
             PyErr_Format(PyExc_ValueError, "%s must be a float64 array", a[i].name);
         else if (a[i].want != 0 && COUNT(a[i]) != a[i].want)
             PyErr_Format(PyExc_ValueError, "%s must hold %zd values", a[i].name, a[i].want);
+        else if (a[i].writable && a[i].view.readonly)
+            PyErr_Format(PyExc_ValueError, "%s is read-only", a[i].name);
         else
             continue;
         release(a, i + 1);
@@ -233,17 +248,29 @@ static int check_lr(double lr)
     return lr > 0.0 ? 0 : value_error("learning rate must be > 0, got %R", lr, 0);
 }
 
-/* The t-th bias-corrected Adam step, in place on th, m and s, elementwise in
- * numpy's order. The corrections 1 - beta^t come from pow, the function that
- * Python's float ** int calls. */
-static void adam_body(double *th, double *m, double *s, const double *g, double lr, long long t)
+/* Adam's update of value i, elementwise in numpy's order, except that a first
+ * moment below DBL_MIN in magnitude is stored as +0. Where numpy's moment is
+ * subnormal, its update of th is below 2^-1000 and leaves any th of magnitude
+ * 2^-900 or more as it is, so th keeps numpy's bits there. */
+static inline void adam_value(double *restrict th, double *restrict m, double *restrict s,
+                              const double *restrict g, double lr, double c1, double c2, int i)
+{
+    const double mi = BETA1 * m[i] + (1.0 - BETA1) * g[i];
+    m[i] = fabs(mi) < DBL_MIN ? 0.0 : mi;
+    s[i] = BETA2 * s[i] + (1.0 - BETA2) * (g[i] * g[i]);
+    th[i] = th[i] - lr * (m[i] / c1) / (sqrt(s[i] / c2) + ADAM_EPS);
+}
+
+/* The t-th bias-corrected Adam step, in place on th, m and s: values 0..127 in
+ * vector lanes, whole vectors at any width, then value 128. The corrections
+ * 1 - beta^t come from pow, the function that Python's float ** int calls. */
+static void adam_body(double *restrict th, double *restrict m, double *restrict s,
+                      const double *restrict g, double lr, long long t)
 {
     const double c1 = 1.0 - pow(BETA1, (double)t), c2 = 1.0 - pow(BETA2, (double)t);
-    for (int i = 0; i < N_PARAMS; i++) {
-        m[i] = BETA1 * m[i] + (1.0 - BETA1) * g[i];
-        s[i] = BETA2 * s[i] + (1.0 - BETA2) * (g[i] * g[i]);
-        th[i] = th[i] - lr * (m[i] / c1) / (sqrt(s[i] / c2) + ADAM_EPS);
-    }
+    for (int i = 0; i < N_PARAMS - 1; i++)
+        adam_value(th, m, s, g, lr, c1, c2, i);
+    adam_value(th, m, s, g, lr, c1, c2, N_PARAMS - 1);
 }
 
 static PyObject *adam(PyObject *self, PyObject *args)
@@ -298,6 +325,67 @@ static PyObject *rows(PyObject *self, PyObject *args)
     return i == n ? Py_NewRef(Py_None) : NULL;
 }
 
+/* One block of the noise family named family from the uniforms u, into out,
+ * one value per uniform. w holds log1p(-u[2i]) for each Box-Muller pair
+ * (u[2i], u[2i + 1]) of a gaussian block, the block's gaussians for a
+ * mixture, and one value per uniform that is not read for uniform and arcsine.
+ * Each family is numpy's formula in numpy's order:
+ *   gaussian  r = sqrt(-2 * w[i]), a = 2 pi u[2i + 1]; r cos(a), then r sin(a)
+ *   uniform   (2 u - 1) sqrt(3)
+ *   arcsine   (sin(pi / 2 u)^2 - 0.5) sqrt(8)
+ *   mixture   w where u < mix_prob, else w sqrt(big_variance); then, if
+ *             normalize, divided by sqrt(mix_prob + (1 - mix_prob) big_variance)
+ * Wrong lengths or an unknown family raise ValueError before out is written. */
+static PyObject *noise(PyObject *self, PyObject *args)
+{
+    enum { GAUSSIAN, UNIFORM, ARCSINE, MIXTURE, FAMILIES };
+    static const char *const names[FAMILIES] = {"gaussian", "uniform", "arcsine", "mixture"};
+    arg a[] = {{"u"}, {"w"}, {"out", 1}};
+    const char *family;
+    double p = 0.0, big = 1.0;
+    int normalize = 0, f = 0;
+    if (!PyArg_ParseTuple(args, "sOOO|ddp:noise", &family, &a[0].obj, &a[1].obj, &a[2].obj, &p,
+                          &big, &normalize) ||
+        borrow(a, 3) < 0)
+        return NULL;
+    while (f < FAMILIES && strcmp(family, names[f]) != 0)
+        f++;
+    const double *u = a[0].view.buf, *w = a[1].view.buf;
+    double *out = a[2].view.buf;
+    const Py_ssize_t n = COUNT(a[0]);
+    if (f == FAMILIES)
+        PyErr_Format(PyExc_ValueError, "unknown noise family %s", family);
+    else if (COUNT(a[2]) != n)
+        PyErr_SetString(PyExc_ValueError, "out must hold one value per uniform in u");
+    else if (f == GAUSSIAN && (n % 2 != 0 || COUNT(a[1]) != n / 2))
+        PyErr_SetString(PyExc_ValueError, "w must hold one value per pair of uniforms in u");
+    else if (f != GAUSSIAN && COUNT(a[1]) != n)
+        PyErr_SetString(PyExc_ValueError, "w must hold one value per uniform in u");
+    else if (f == GAUSSIAN)
+        for (Py_ssize_t i = 0; i < n / 2; i++) {
+            const double r = sqrt(-2.0 * w[i]), angle = (2.0 * M_PI) * u[2 * i + 1];
+            out[2 * i] = r * cos(angle);
+            out[2 * i + 1] = r * sin(angle);
+        }
+    else if (f == UNIFORM)
+        for (Py_ssize_t i = 0; i < n; i++)
+            out[i] = (2.0 * u[i] - 1.0) * sqrt(3.0);
+    else if (f == ARCSINE)
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const double b = sin((M_PI / 2.0) * u[i]);
+            out[i] = (b * b - 0.5) * sqrt(8.0);
+        }
+    else {
+        const double wide = sqrt(big), norm = sqrt(p + (1.0 - p) * big);
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const double z = u[i] < p ? w[i] : w[i] * wide;
+            out[i] = normalize ? z / norm : z;
+        }
+    }
+    release(a, 3);
+    return PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
+}
+
 /* One training epoch, in place on theta, m and v, on the rows X with targets y:
  * for each run of batch_size rows (the last one possibly short), mse_grad and
  * Adam step step + 1. Returns (the losses times their row counts, summed in
@@ -350,6 +438,9 @@ static PyMethodDef methods[] = {
     {"rows", rows, METH_VARARGS,
      "rows(u, eps, x0, alpha_bar, out): the training rows (x_t, t / T), t = floor(u * T) + 1,"
      " into out."},
+    {"noise", noise, METH_VARARGS,
+     "noise(family, u, w, out[, mix_prob, big_variance, normalize]): the family's noise block"
+     " from the uniforms u (and w) into out."},
     {"train_epoch", train_epoch, METH_VARARGS,
      "train_epoch(theta, m, v, step, X, y, batch_size, lr) -> (sum of squared errors, step,"
      " None or the diverged minibatch): the epoch's Adam steps on X."},
@@ -359,7 +450,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Network kernel of ddpm1d.mlp.",
+    .m_doc = "Network and noise kernel of ddpm1d.mlp and ddpm1d.noise.",
     .m_size = 0,
     .m_methods = methods,
 };

@@ -1,5 +1,5 @@
 """Builds and loads ``_kernel.c``, the compiled network arithmetic behind
-``mlp``.
+``mlp`` and the noise transforms behind ``prng`` and ``noise``.
 
 The extension is compiled with ``gcc`` against the running Python's headers
 the first time it is needed, not on import. It is cached in a private
@@ -29,9 +29,12 @@ from types import ModuleType
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CC = "gcc"
-# no fused multiply-add: the bits must not depend on -O level or -march; functions and
-# loops start on 64-byte lines, so an edit elsewhere in the file does not move their speed
-FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=64")
+# no fused multiply-add: the bits must not depend on -O level or -march; sqrt without an
+# errno branch, so that Adam's loop runs in vector lanes (the kernel reads no errno, and sin,
+# cos and sqrt round the same without it); functions and loops start on 64-byte lines, so
+# an edit elsewhere in the file does not move their speed
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-functions=64",
+         "-falign-loops=64")
 # numpy's name for each CPU feature that widens the gradient's lanes, widest first, and its flag
 ISA_FLAGS = (("AVX512F", "-mavx512f"), ("AVX2", "-mavx2"))
 
@@ -71,6 +74,10 @@ def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = No
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the default build, built or loaded on the first call, so that importing compiles nothing
+default = cache(load)
 
 
 @cache

@@ -14,7 +14,6 @@ already be a C-contiguous float64 array; the kernel refuses one that is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -30,9 +29,6 @@ _W2 = slice(HIDDEN * N_IN + HIDDEN, HIDDEN * N_IN + 2 * HIDDEN)
 
 # draws consumed by init_params; the evaluation stream skips exactly this many
 INIT_DRAWS = HIDDEN * N_IN + HIDDEN  # 96
-
-# built or loaded on the first call, so that importing mlp compiles nothing
-_kernel = cache(kernel.load)
 
 
 @dataclass
@@ -77,7 +73,7 @@ def init_params(g: RngStream) -> np.ndarray:
 def forward_batch(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted noise for a (n, 2) input block."""
     out = np.empty(len(X))
-    _kernel().forward(theta, X, out)
+    kernel.default().forward(theta, X, out)
     return out
 
 
@@ -87,16 +83,21 @@ def loss_and_grad_arrays(
     """Mean squared error and its exact gradient in flat parameter layout; the
     ReLU subgradient at 0 is 0."""
     grad = np.empty(N_PARAMS)
-    return _kernel().loss_and_grad(theta, X, y, grad), grad
+    return kernel.default().loss_and_grad(theta, X, y, grad), grad
 
 
 def adam_step(
     theta: np.ndarray, s: AdamState, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; pure: the kernel steps copies of theta and ``s``."""
+    """One bias-corrected Adam update; pure: the kernel steps copies of theta and ``s``.
+
+    It is numpy's elementwise Adam, except that a first moment below the smallest
+    normal float in magnitude is stored as +0 where numpy's would be subnormal.
+    v keeps numpy's bits, and so does theta wherever it is 2**-900 or more in
+    magnitude, since the update skipped is below 2**-1000."""
     theta, m, v = theta.copy(), s.m.copy(), s.v.copy()
     t = s.step_count + 1
-    _kernel().adam(theta, m, v, grads, lr, t)
+    kernel.default().adam(theta, m, v, grads, lr, t)
     return theta, AdamState(m, v, t)
 
 
@@ -117,9 +118,9 @@ def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray,
     step not taken. theta, ``s.m`` and ``s.v`` must be writable.
     """
     X = np.empty((len(u), N_IN))
-    _kernel().rows(u, eps, x0, alpha_bar, X)
+    kernel.default().rows(u, eps, x0, alpha_bar, X)
     if (loss_and_grad_arrays, adam_step) == _FUSED:
-        sq_err, s.step_count, bad = _kernel().train_epoch(
+        sq_err, s.step_count, bad = kernel.default().train_epoch(
             theta, s.m, s.v, s.step_count, X, eps, batch_size, lr)
         return sq_err, bad
     sq_err = 0.0

@@ -20,6 +20,9 @@ The stream layout of one block is fixed per family so sequences survive refactor
     uniform / arcsine: n uniforms, one per value
     gaussian:          n gaussians (Box-Muller pairs, see the prng module)
     mixture:           n selector uniforms first, then n gaussians
+
+The kernel maps the uniforms (and a mixture's gaussians) to the values, by the
+numpy formulas that it replaced, in their order and with their bits.
 """
 
 from __future__ import annotations
@@ -28,15 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import schema
+from . import kernel, schema
 from .errors import ConfigError
 from .prng import RngStream
 
 FAMILIES = ("gaussian", "uniform", "arcsine", "mixture")
-
-_SQRT3 = float(np.sqrt(3.0))
-_SQRT8 = float(np.sqrt(8.0))  # 1 / sqrt(1/8): arcsine standardization factor
-_HALF_PI = float(np.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -69,20 +68,15 @@ class NoiseSpec:
 
 
 def sample_block(spec: NoiseSpec, n: int, g: RngStream) -> np.ndarray:
-    """``n`` draws from ``spec`` in the block layout documented above."""
+    """``n`` draws from ``spec`` in the block layout documented above, mapped
+    from the uniforms (and a mixture's gaussians) in the kernel."""
     if spec.family == "gaussian":
         return g.gaussians(n)
-    if spec.family == "uniform":
-        return (2.0 * g.uniforms(n) - 1.0) * _SQRT3
-    if spec.family == "arcsine":
-        b = np.sin(_HALF_PI * g.uniforms(n)) ** 2
-        return (b - 0.5) * _SQRT8
-    narrow = g.uniforms(n) < spec.mix_prob
-    z = g.gaussians(n)
-    z = np.where(narrow, z, z * np.sqrt(spec.big_variance))
-    if spec.normalize:
-        z = z / np.sqrt(spec.mix_prob + (1.0 - spec.mix_prob) * spec.big_variance)
-    return z
+    u, out = g.uniforms(n), np.empty(n)
+    w = g.gaussians(n) if spec.family == "mixture" else u
+    kernel.default().noise(spec.family, u, w, out, spec.mix_prob, spec.big_variance,
+                           spec.normalize)
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ which makes distinct stream ids statistically independent by construction.
 Draws come in blocks. Gaussians come from the Box-Muller transform on
 consecutive uniform pairs; both outputs of a pair are consumed in order, and
 when a block has odd length the unused second variate is cached and opens the
-next gaussian block on the same stream. The transform goes through numpy
-ufuncs, never the ``math`` module, so an element's value does not depend on
-the block length: a stream's gaussian sequence is the same however it is split
-into blocks (the test suite checks this).
+next gaussian block on the same stream. The transform runs elementwise in the
+kernel (libm ``sqrt``, ``sin`` and ``cos``) on numpy's ``log1p``, so an
+element's value does not depend on the block length: a stream's gaussian
+sequence is the same however it is split into blocks (the test suite checks
+this).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-_TWO_PI = 2.0 * np.pi
+from . import kernel
 
 
 class RngStream:
@@ -40,25 +41,17 @@ class RngStream:
         z1 = r*cos(2*pi*u2), z2 = r*sin(2*pi*u2) with r = sqrt(-2*log(1 - u1));
         1 - u1 lies in (0, 1], keeping the log argument away from zero.
         """
-        out = np.empty(n)
+        out = np.empty(n + 1)  # an odd block's last pair ends one past n
         start = 0
         if self._gauss_cache is not None and n > 0:
-            out[0] = self._gauss_cache
-            self._gauss_cache = None
-            start = 1
-        m = n - start
-        if m > 0:
-            k = (m + 1) // 2
+            out[0], self._gauss_cache, start = self._gauss_cache, None, 1
+        k = (n - start + 1) // 2
+        if k > 0:
             u = self.uniforms(2 * k)
-            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            theta = _TWO_PI * u[1::2]
-            z = np.empty(2 * k)
-            z[0::2] = r * np.cos(theta)
-            z[1::2] = r * np.sin(theta)
-            out[start:] = z[:m]
-            if m % 2 == 1:
-                self._gauss_cache = float(z[m])
-        return out
+            kernel.default().noise("gaussian", u, np.log1p(-u[0::2]), out[start : start + 2 * k])
+            if (n - start) % 2 == 1:
+                self._gauss_cache = float(out[n])
+        return out[:n]
 
 
 def seed_stream(base_seed: int, stream_id: int) -> RngStream:

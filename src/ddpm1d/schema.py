@@ -71,9 +71,10 @@ def from_json(cls, d, where: str = "config"):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     fields = _fields(cls)
-    unknown = set(d) - {name for name, _, _ in fields}
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {sorted(unknown, key=str)}")
+    unknown = sorted(set(d) - {name for name, _, _ in fields}, key=str)
+    if unknown:  # the first 10 keys, so that a huge object gives a short message
+        more = f" and {len(unknown) - 10} more" if len(unknown) > 10 else ""
+        raise ConfigError(f"unknown {where} key(s): {unknown[:10]}{more}")
     return cls(**{name: typ.from_dict(d[name]) if dataclasses.is_dataclass(typ) else d[name]
                   for name, typ, _ in fields if name in d})
 

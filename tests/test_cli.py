@@ -121,6 +121,16 @@ def test_a_wide_config_object_is_checked_in_linear_time(tmp_path, capsys):
     assert code == 1 and time.perf_counter() - start < 5.0
     assert "config error: unknown config key(s)" in capsys.readouterr().err
 
+def test_many_unknown_keys_give_a_short_error(tmp_path, capsys):
+    # the first 10 in sorted order, then a count, not all 100,000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({f"key{i:06d}": i for i in range(100_000)}))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--quiet"]) == 1
+    first = [f"key{i:06d}" for i in range(10)]
+    assert capsys.readouterr().err == f"config error: unknown config key(s): {first} and 99990 more\n"
+    assert not out_dir.exists()
+
 def test_normalize_mixture_key(tmp_path):
     path = write_tiny_config(
         tmp_path,
@@ -182,8 +192,9 @@ def test_run_single_tiny(tmp_path, capsys):
     assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags"}
     assert len(manifest["kernel"]["source_sha256"]) == 64
     flags = manifest["kernel"]["flags"]
-    assert flags[:4] == ["-O2", "-ffp-contract=off", "-falign-functions=64", "-falign-loops=64"]
-    assert flags[4:] in ([], ["-mavx2"], ["-mavx512f"])  # the host's ISA
+    assert flags[:5] == ["-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-functions=64",
+                         "-falign-loops=64"]
+    assert flags[5:] in ([], ["-mavx2"], ["-mavx512f"])  # the host's ISA
     assert flags == list(kernel.host_flags())
 
 def test_manifest_round_trips_to_identical_config(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ddpm1d import mlp
+from ddpm1d import kernel
 from ddpm1d.diffusion import (
     DIVERGENCE_LIMIT,
     SamplerOptions,
@@ -36,7 +36,7 @@ def q_sample_block(x0, ts, s, eps):
     from the timestep uniforms (t - 1/2) / T, which it maps to t = floor(u * T) + 1."""
     out = np.empty((len(ts), 2))
     u = (np.asarray(ts, dtype=np.float64) - 0.5) / s.T
-    mlp._kernel().rows(u, np.asarray(eps, dtype=np.float64), x0, s.alpha_bar, out)
+    kernel.default().rows(u, np.asarray(eps, dtype=np.float64), x0, s.alpha_bar, out)
     return out[:, 0]
 
 

@@ -269,6 +269,35 @@ def assert_adam_matches_numpy(start):
         assert s.step_count == ref_s.step_count
 
 
+def test_adam_flushes_subnormal_first_moments_and_keeps_numpys_theta_and_v(isa_builds):
+    # a dead unit's gradient is exactly 0, so its m decays by 0.9 a step into the
+    # subnormals and sticks at 5 * 2**-1074 in numpy; the kernel stores +0 there
+    # instead. The other values get real gradients, all of them after step 300,
+    # and a few get gradients whose (1 - beta1) * g is already subnormal
+    theta0, tiny = random_theta(8), np.finfo(np.float64).tiny
+    dead = np.arange(N_PARAMS) % 3 != 0
+    m0 = np.where(dead, np.logspace(-300, -323.3, N_PARAMS), 1e-3) * (-1.0) ** np.arange(N_PARAMS)
+    assert isa_builds
+    for name, k in isa_builds.items():
+        theta, m, v = theta0.copy(), m0.copy(), np.zeros(N_PARAMS)
+        ref_theta, ref_s = theta0.copy(), AdamState(m0.copy(), np.zeros(N_PARAMS))
+        stuck = 0
+        for t in range(1, 321):
+            X, y = inputs(t, 64)
+            _, grad = loss_and_grad_arrays(theta, X, y)
+            if t <= 300:
+                grad[dead] = 0.0
+                grad[3:12:3] = 1e-310
+            k.adam(theta, m, v, grad, 1e-3, t)
+            ref_theta, ref_s = numpy_adam(ref_theta, ref_s, grad, 1e-3)
+            flushed = np.where(np.abs(ref_s.m) < tiny, 0.0, ref_s.m)
+            assert theta.tobytes() == ref_theta.tobytes(), (name, t)
+            assert v.tobytes() == ref_s.v.tobytes(), (name, t)
+            assert m.tobytes() == flushed.tobytes(), (name, t)
+            stuck += int((np.abs(ref_s.m) == np.nextafter(0.0, 1.0)).sum())
+        assert stuck > 0  # numpy's moments did reach the stuck value
+
+
 def test_finite_differences_still_pass_on_the_remainder_batch():
     X, y = inputs(5, 40)
     assert finite_diff_check(random_theta(5), TrainBatch(X, y)) < 1e-5
@@ -296,20 +325,21 @@ def test_wrong_sizes_raise_instead_of_reading_past_the_end():
     # the raw entry points read only C-contiguous float64 buffers
     out = np.empty(8)
     with pytest.raises(ValueError, match="float64"):
-        mlp._kernel().forward(theta.astype(np.float32), X, out)
+        kernel.default().forward(theta.astype(np.float32), X, out)
     with pytest.raises(ValueError):  # not C-contiguous
-        mlp._kernel().forward(theta, np.asfortranarray(X), out)
+        kernel.default().forward(theta, np.asfortranarray(X), out)
 
 
 def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
     # the wrappers convert nothing: a list theta, a Fortran-ordered X, an int64 y
-    # and a negative-stride view each raise, and nothing is written
+    # and a negative-stride view each raise a ValueError that names the argument,
+    # and nothing is written
     X, y = inputs(1, 16)
     _, grad = loss_and_grad_arrays(random_theta(1), X, y)
     u, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(1, 1))
     ab, F = SCHED.alpha_bar, np.asfortranarray(X)
     refused = {
-        "bytes-like object is required": [
+        "theta must be a C-contiguous float64 array": [
             lambda th, s: forward_batch(list(th), X),
             lambda th, s: loss_and_grad_arrays(list(th), X, y),
             lambda th, s: adam_step(list(th), s, grad, 1e-3),
@@ -321,19 +351,25 @@ def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
         "eps must be a float64 array": [
             lambda th, s: train_epoch(th, s, u, eps.astype(np.int64), 7.0, ab, 8, 1e-3),
         ],
-        "not C-contiguous": [
+        "X must be a C-contiguous float64 array": [
             lambda th, s: forward_batch(th, F),
             lambda th, s: loss_and_grad_arrays(th, F, y),
             lambda th, s: forward_batch(th, X[::-1]),
+        ],
+        "y must be a C-contiguous float64 array": [
             lambda th, s: loss_and_grad_arrays(th, X, y[::-1]),
+        ],
+        "grad must be a C-contiguous float64 array": [
             lambda th, s: adam_step(th, s, grad[::-1], 1e-3),
+        ],
+        "u must be a C-contiguous float64 array": [
             lambda th, s: train_epoch(th, s, u[::-1], eps, 7.0, ab, 8, 1e-3),
         ],
     }
     for match, calls in refused.items():
         for call in calls:
             theta, s = random_theta(1), AdamState.zeros()
-            with pytest.raises((TypeError, ValueError), match=match):
+            with pytest.raises(ValueError, match=f"^{match}$"):
                 call(theta, s)
             assert theta.tobytes() == random_theta(1).tobytes()
             assert s.step_count == 0 and not s.m.any() and not s.v.any()
@@ -377,6 +413,85 @@ def test_the_kernel_compiles_without_warnings(tmp_path, name):
     out = np.empty(1)
     k.forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
     assert out[0] == 81.0
+
+
+class NumpyNoise:
+    """The numpy transforms that the kernel's noise entry replaced, on a
+    stream's uniforms, with their own Box-Muller pair cache."""
+
+    def __init__(self, g):
+        self.g, self.cache = g, None
+
+    def gaussians(self, n):
+        out, start = np.empty(n), 0
+        if self.cache is not None and n > 0:
+            out[0], self.cache, start = self.cache, None, 1
+        m = n - start
+        if m > 0:
+            k = (m + 1) // 2
+            u = self.g.uniforms(2 * k)
+            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+            theta = 2.0 * np.pi * u[1::2]
+            z = np.empty(2 * k)
+            z[0::2] = r * np.cos(theta)
+            z[1::2] = r * np.sin(theta)
+            out[start:] = z[:m]
+            if m % 2 == 1:
+                self.cache = float(z[m])
+        return out
+
+    def sample_block(self, spec, n):
+        if spec.family == "gaussian":
+            return self.gaussians(n)
+        if spec.family == "uniform":
+            return (2.0 * self.g.uniforms(n) - 1.0) * float(np.sqrt(3.0))
+        if spec.family == "arcsine":
+            b = np.sin(float(np.pi / 2.0) * self.g.uniforms(n)) ** 2
+            return (b - 0.5) * float(np.sqrt(8.0))
+        narrow = self.g.uniforms(n) < spec.mix_prob
+        z = self.gaussians(n)
+        z = np.where(narrow, z, z * np.sqrt(spec.big_variance))
+        if spec.normalize:
+            z = z / np.sqrt(spec.mix_prob + (1.0 - spec.mix_prob) * spec.big_variance)
+        return z
+
+
+NOISE_SPECS = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
+               NoiseSpec("mixture", mix_prob=0.5),
+               NoiseSpec("mixture", mix_prob=0.9, big_variance=7.3, normalize=True)]
+
+
+# the builds that test_flags_do_not_move_the_bits compares: each ISA, and -march=native -O3
+@pytest.mark.parametrize("name", [*ISAS, "native"])
+@pytest.mark.parametrize("spec", NOISE_SPECS, ids=lambda spec: spec.label())
+def test_noise_has_the_numpy_formulas_bytes(isa_builds, tmp_path, monkeypatch, name, spec):
+    if name == "native":
+        build = kernel.load(tmp_path, (*kernel.FLAGS, "-march=native", "-O3"))
+    else:
+        isa_or_skip(name)
+        build = isa_builds[name]
+    # sin and cos stay libm's scalar functions, which numpy's equal: no libmvec
+    assert b"_ZGV" not in Path(build.__file__).read_bytes()
+    monkeypatch.setattr(kernel, "default", lambda: build)
+    g, ref = seed_stream(9, 4), NumpyNoise(seed_stream(9, 4))
+    # odd lengths leave a pair's second value in the cache for the next block
+    for n in (1, 2, 7, 0, 1000, 999, 3, 2000, 1):
+        got, want = noise.sample_block(spec, n, g), ref.sample_block(spec, n)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes(), n
+    assert g.uniforms(5).tobytes() == ref.g.uniforms(5).tobytes()
+
+
+def test_noise_checks_its_family_and_lengths():
+    k, u = kernel.default(), seed_stream(0, 4).uniforms(6)
+    with pytest.raises(ValueError, match="^unknown noise family laplace$"):
+        k.noise("laplace", u, u, np.empty(6))
+    with pytest.raises(ValueError, match="^w must hold one value per pair of uniforms in u$"):
+        k.noise("gaussian", u[:5], u[:2], np.empty(5))
+    with pytest.raises(ValueError, match="^w must hold one value per pair of uniforms in u$"):
+        k.noise("gaussian", u, u, np.empty(6))
+    out = np.empty(6)
+    k.noise("gaussian", u, np.log1p(-u[0::2]), out)
+    assert out.tobytes() == NumpyNoise(seed_stream(0, 4)).gaussians(6).tobytes()
 
 
 def test_the_default_build_is_for_the_widest_isa_the_host_runs(tmp_path, monkeypatch):
@@ -449,7 +564,7 @@ def test_a_private_cache_is_loaded(tmp_path):
 
 @pytest.mark.parametrize("missing", ["compiler", "headers"])
 def test_missing_build_tool_exits_2_with_one_line(tmp_path, monkeypatch, capsys, missing):
-    monkeypatch.setattr(mlp, "_kernel", lambda: kernel.load(tmp_path / "cold"))
+    monkeypatch.setattr(kernel, "default", lambda: kernel.load(tmp_path / "cold"))
     if missing == "compiler":
         monkeypatch.setattr(kernel, "CC", "no-such-cc")
     else:
@@ -530,7 +645,7 @@ def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
     u[:3] = (0.0, np.nextafter(1.0, 0.0), 0.499)  # both ends of the schedule, and t = 250
     eps[3:6] = (0.0, -0.0, 1e-300)
     out = np.empty((1000, 2))
-    mlp._kernel().rows(u, eps, x0, SCHED.alpha_bar, out)
+    kernel.default().rows(u, eps, x0, SCHED.alpha_bar, out)
     ts = numpy_steps(u, 500)
     assert ts[:3].tolist() == [1, 500, 250]
     ab = SCHED.alpha_bar[ts - 1]
@@ -626,7 +741,7 @@ def test_kernel_steps_are_numpys_floor_of_u_times_T(T):
     alpha_bar = np.linspace(0.999, 0.001, T)
     eps = seed_stream(T, 2).gaussians(len(u))
     out = np.empty((len(u), 2))
-    mlp._kernel().rows(u, eps, 7.0, alpha_bar, out)
+    kernel.default().rows(u, eps, 7.0, alpha_bar, out)
     ts = numpy_steps(u, T)
     assert ts.min() == 1 and ts.max() == T
     assert out[:, 1].tobytes() == (ts / T).tobytes()
@@ -637,11 +752,11 @@ def test_kernel_steps_are_numpys_floor_of_u_times_T(T):
 @pytest.mark.parametrize("path", ["fused", "rebound"])
 @pytest.mark.parametrize("bad", [1.0, -1e-300, np.nan, np.inf, "empty-alpha_bar"])
 def test_train_epoch_uniforms_outside_0_1_raise_value_error(bad, path, monkeypatch):
-    k = mlp._kernel()
+    k = kernel.default()
     calls = count_minibatch_calls(monkeypatch) if path == "rebound" else {}
     calls["epoch"] = 0  # the fused path's one kernel call for all its minibatches
-    monkeypatch.setattr(mlp, "_kernel", lambda: SimpleNamespace(
-        rows=k.rows, train_epoch=counting(calls, "epoch", k.train_epoch)))
+    monkeypatch.setattr(kernel, "default", lambda: SimpleNamespace(
+        rows=k.rows, noise=k.noise, train_epoch=counting(calls, "epoch", k.train_epoch)))
     theta, s = random_theta(0), AdamState.zeros()
     before = theta.copy()
     u, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
@@ -714,11 +829,13 @@ def valid_call(entry):
         "rows": {"u": u, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
         "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "X": X, "y": y,
                         "batch_size": 8, "lr": 1e-3},
+        "noise": {"family": "mixture", "u": u, "w": eps, "out": np.zeros(16), "mix_prob": 0.5,
+                  "big_variance": 100.0, "normalize": True},
     }[entry]
 
 
 WRITTEN = {"forward": {"out"}, "loss_and_grad": {"grad"}, "adam": {"theta", "m", "v"},
-           "rows": {"out"}, "train_epoch": {"theta", "m", "v"}}
+           "rows": {"out"}, "train_epoch": {"theta", "m", "v"}, "noise": {"out"}}
 FAULTS = {
     "kind": lambda a: a.astype(np.float32),
     "length": lambda a: a[:-1],  # one value, or one row, fewer
@@ -735,6 +852,8 @@ def expected_error(entry, name, fault):
         return (ValueError, BufferError), "read-only"
     if name in ("theta", "m", "v", "grad"):
         return ValueError, rf"^{name} must hold 129 values$"
+    if entry == "noise":
+        return ValueError, f"^{'w' if name == 'w' else 'out'} must hold one value per uniform in u$"
     if name in ("u", "eps"):
         return ValueError, "^eps must hold one value per uniform in u$"
     if name == "alpha_bar":  # it may hold any number of steps
@@ -758,12 +877,12 @@ def test_every_array_argument_is_checked_before_use_and_released(entry, name, fa
     before = {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()}
     error = expected_error(entry, name, fault)
     if error is None:
-        getattr(mlp._kernel(), entry)(*call.values())
+        getattr(kernel.default(), entry)(*call.values())
         T = len(call["alpha_bar"])
         assert call["out"][:, 1].tobytes() == (numpy_steps(call["u"], T) / T).tobytes()
         assert call["out"][0, 1] == 1.0
         before["out"] = (call["out"].tobytes(), before["out"][1])
     else:
         with pytest.raises(error[0], match=error[1]):
-            getattr(mlp._kernel(), entry)(*call.values())
+            getattr(kernel.default(), entry)(*call.values())
     assert {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()} == before
