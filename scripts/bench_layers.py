@@ -17,9 +17,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
 - ``uniforms`` and ``gaussians``: ``RngStream.uniforms`` and
   ``RngStream.gaussians`` of 1000 draws (one training epoch's worth);
 - ``rows``: the kernel's build of an epoch's 1000 (x_t, t / T) training rows,
-  timesteps ``t = floor(u * T) + 1`` included, from 1000 uniforms drawn once
-  and a gaussian noise block, at the reference T = 500: the first part of
-  ``mlp.train_epoch``;
+  timesteps ``t = floor(u * T) + 1`` included, from 1000 uniforms drawn once,
+  a gaussian noise block and the schedule's two roots, at the reference
+  T = 500: the first part of ``mlp.train_epoch``;
 - ``train_epoch``: ``experiment.train_trial`` at 10 epochs of the reference
   config, divided by 10, so one tenth of its set-up is included;
 - ``train_epoch.late``: one epoch of that gaussian trial, its noise draws and
@@ -108,7 +108,7 @@ def measure(tiny: bool) -> dict:
     trained, _ = train_trial(eval_cfg, 0)
     u, eps = g.uniforms(draws), g.gaussians(draws)
     out = np.empty((draws, 2))
-    alpha_bar = train_cfg.schedule().alpha_bar
+    train_sched = train_cfg.schedule()
     us, ms = 1e3, 1e6
     families = (NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
                 NoiseSpec("mixture", mix_prob=0.5))
@@ -118,7 +118,7 @@ def measure(tiny: bool) -> dict:
 
     def reverse_step():  # generate_block's step
         x = diffusion.reverse_mean(pred, x_t, t, sched)
-        x += np.sqrt(sched.beta[t - 1]) * sample_block(gaussian, chains, g)
+        x += sched.sqrt_beta[t - 1] * sample_block(gaussian, chains, g)
 
     late_theta, late_state = mlp.init_params(init_stream(train_cfg, 0)), mlp.AdamState.zeros()
     late_g = train_stream(train_cfg, 0)
@@ -126,7 +126,7 @@ def measure(tiny: bool) -> dict:
     def late_epoch():  # train_trial's epoch
         n = train_cfg.samples_per_epoch
         u, eps = late_g.uniforms(n), sample_block(train_cfg.noise, n, late_g)
-        mlp.train_epoch(late_theta, late_state, u, eps, train_cfg.x0, alpha_bar, batch,
+        mlp.train_epoch(late_theta, late_state, u, eps, train_cfg.x0, train_sched, batch,
                         train_cfg.learning_rate)
 
     for _ in range(late_epochs):
@@ -159,8 +159,9 @@ def measure(tiny: bool) -> dict:
         "uniforms": timed(lambda: g.uniforms(draws), repeats, calls, us, {"draws": draws}, "us"),
         "gaussians": timed(lambda: g.gaussians(draws), repeats, calls, us, {"draws": draws},
                            "us"),
-        "rows": timed(lambda: kernel.default().rows(u, eps, 7.0, alpha_bar, out), repeats, calls,
-                      us, {"rows": draws, "T": steps}, "us"),
+        "rows": timed(lambda: kernel.default().rows(u, eps, 7.0, train_sched.sqrt_alpha_bar,
+                                                    train_sched.sqrt_one_minus_alpha_bar, out),
+                      repeats, calls, us, {"rows": draws, "T": steps}, "us"),
         "train_epoch": timed(lambda: train_trial(train_cfg, 0), repeats, 1, ms * epochs,
                              {"epochs": epochs, "samples_per_epoch": train_cfg.samples_per_epoch,
                               "batch_size": batch}, "ms"),

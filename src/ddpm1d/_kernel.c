@@ -2,8 +2,8 @@
  * flat 129-value theta [W1 rows (32 x 2), b1 (32), W2 (32), b2]: the forward
  * pass, the mean squared error with its exact gradient, and the Adam update with
  * fixed BETA1, BETA2 and ADAM_EPS, in place on theta and its moments; rows, an
- * epoch's (x_t, t / T) training rows from its timestep uniforms; and train_epoch,
- * every minibatch's loss, gradient and Adam step over those rows, in one call.
+ * epoch's (x_t, t / T) rows from its uniforms and the caller's schedule roots;
+ * and train_epoch, every minibatch's loss, gradient and Adam step, in one call.
  *
  * Every sum runs in one fixed order, written out below, and the module is
  * compiled with -ffp-contract=off, so that no multiply-add is fused: the bits
@@ -289,39 +289,39 @@ static PyObject *adam(PyObject *self, PyObject *args)
 }
 
 /* The training rows (x_t, t / T) into out, one per timestep uniform in u, with
- * noise eps: row i is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
- * t = floor(u[i] * T) + 1, ab = alpha_bar[t - 1] and T = len(alpha_bar), by
- * numpy's operations in numpy's order. An empty alpha_bar or a length other than
- * one eps value and one row per uniform raises ValueError before out is written,
- * and a u outside [0, 1), NaN included, stops it with ValueError: for u in
- * [0, 1), u * T rounds to below T, so t is in 1..T. */
+ * noise eps: row i is (c[t - 1] * x0 + d[t - 1] * eps[i], t / T), where
+ * t = floor(u[i] * T) + 1, by numpy's operations in numpy's order; c and d are
+ * the caller's sqrt(alpha_bar) and sqrt(1 - alpha_bar), and T their length. Empty
+ * or unequal roots, or a length other than one eps value and one row per uniform,
+ * raise ValueError before out is written, and a u outside [0, 1), NaN included,
+ * stops it: for u in [0, 1), u * T rounds to below T, so t is in 1..T. */
 static PyObject *rows(PyObject *self, PyObject *args)
 {
-    arg a[] = {{"u"}, {"eps"}, {"alpha_bar"}, {"out", 1}};
+    arg a[] = {{"u"}, {"eps"}, {"sqrt_alpha_bar"}, {"sqrt_one_minus_alpha_bar"}, {"out", 1}};
     double x0;
-    if (!PyArg_ParseTuple(args, "OOdOO:rows", &a[0].obj, &a[1].obj, &x0, &a[2].obj, &a[3].obj) ||
-        borrow(a, 4) < 0)
+    if (!PyArg_ParseTuple(args, "OOdOOO:rows", &a[0].obj, &a[1].obj, &x0, &a[2].obj, &a[3].obj,
+                          &a[4].obj) ||
+        borrow(a, 5) < 0)
         return NULL;
-    const double *u = a[0].view.buf, *e = a[1].view.buf, *ab = a[2].view.buf;
-    double *X = a[3].view.buf;
+    const double *u = a[0].view.buf, *e = a[1].view.buf, *c = a[2].view.buf, *d = a[3].view.buf;
+    double *X = a[4].view.buf;
     const Py_ssize_t n = COUNT(a[0]), T = COUNT(a[2]);
     Py_ssize_t i = -1;  /* the rows written; -1 if an argument is wrong */
     if (COUNT(a[1]) != n)
         PyErr_SetString(PyExc_ValueError, "eps must hold one value per uniform in u");
-    else if (COUNT(a[3]) != N_IN * n)
+    else if (COUNT(a[4]) != N_IN * n)
         PyErr_SetString(PyExc_ValueError, "out must hold two values per uniform in u");
-    else if (T == 0)
-        PyErr_SetString(PyExc_ValueError, "alpha_bar must not be empty");
+    else if (T == 0 || COUNT(a[3]) != T)
+        PyErr_SetString(PyExc_ValueError, "the schedule's roots must be nonempty and equally long");
     else
         for (i = 0; i < n && u[i] >= 0.0 && u[i] < 1.0; i++) {
             const Py_ssize_t t = (Py_ssize_t)(u[i] * (double)T) + 1;
-            const double c = ab[t - 1];
-            X[N_IN * i] = sqrt(c) * x0 + sqrt(1.0 - c) * e[i];
+            X[N_IN * i] = c[t - 1] * x0 + d[t - 1] * e[i];
             X[N_IN * i + 1] = (double)t / (double)T;
         }
     if (i >= 0 && i < n)
         value_error("uniform %R (index %zd) outside [0, 1)", u[i], i);
-    release(a, 4);
+    release(a, 5);
     return i == n ? Py_NewRef(Py_None) : NULL;
 }
 
@@ -436,8 +436,8 @@ static PyMethodDef methods[] = {
     {"adam", adam, METH_VARARGS,
      "adam(theta, m, v, grad, lr, t): Adam step t, in place on theta, m and v."},
     {"rows", rows, METH_VARARGS,
-     "rows(u, eps, x0, alpha_bar, out): the training rows (x_t, t / T), t = floor(u * T) + 1,"
-     " into out."},
+     "rows(u, eps, x0, sqrt_alpha_bar, sqrt_one_minus_alpha_bar, out): the training rows"
+     " (x_t, t / T), t = floor(u * T) + 1, into out."},
     {"noise", noise, METH_VARARGS,
      "noise(family, u, w, out[, mix_prob, big_variance, normalize]): the family's noise block"
      " from the uniforms u (and w) into out."},

@@ -65,13 +65,7 @@ def oracle_predictor(x0: float, s: Schedule) -> Predictor:
     eps(x_t, t) = (x_t - sqrt(ab_t) * x0) / sqrt(1 - ab_t); exact because every
     clean sample equals x0.
     """
-    sqrt_ab = np.sqrt(s.alpha_bar)
-    sqrt_1mab = np.sqrt(1.0 - s.alpha_bar)
-
-    def predict(x_t, t: int):
-        return (x_t - sqrt_ab[t - 1] * x0) / sqrt_1mab[t - 1]
-
-    return predict
+    return lambda x_t, t: (x_t - s.sqrt_alpha_bar[t - 1] * x0) / s.sqrt_one_minus_alpha_bar[t - 1]
 
 
 def mlp_predictor(params: np.ndarray, T: int) -> Predictor:
@@ -93,8 +87,8 @@ def reverse_mean(pred: Predictor, x_t, t: int, s: Schedule):
     """Deterministic part of the ancestral step; broadcasts over array x_t."""
     i = s.index(t)
     eps_hat = pred(x_t, t)
-    coef = s.beta[i] / np.sqrt(1.0 - s.alpha_bar[i])
-    return (x_t - coef * eps_hat) / np.sqrt(s.alpha[i])
+    coef = s.beta[i] / s.sqrt_one_minus_alpha_bar[i]
+    return (x_t - coef * eps_hat) / s.sqrt_alpha[i]
 
 
 def generate_block(
@@ -108,14 +102,13 @@ def generate_block(
 
     Returns ``(x0_hats, diverged_mask)``.
     """
-    sigma = np.sqrt(s.beta)
     x = noise_mod.sample_block(opts.noise, n, g)
     alive = np.abs(x) <= DIVERGENCE_LIMIT
     with np.errstate(all="ignore"):
         for t in range(s.T, 0, -1):
             x = reverse_mean(pred, x, t, s)  # a fresh array, so the noise goes in in place
             if not (t == 1 and opts.final_step_noiseless):
-                x += sigma[t - 1] * noise_mod.sample_block(opts.noise, n, g)
+                x += s.sqrt_beta[t - 1] * noise_mod.sample_block(opts.noise, n, g)
             alive &= np.abs(x) <= DIVERGENCE_LIMIT
     return x, ~alive
 

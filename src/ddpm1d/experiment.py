@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import diffusion, mlp, schema
+from . import diffusion, kernel, mlp, schema
 from . import noise as noise_mod
 from .diffusion import SamplerOptions
 from .errors import ConfigError, DivergenceError
@@ -79,7 +79,7 @@ class ExperimentConfig:
 
     def schedule(self) -> Schedule:
         """The linear schedule, built once per (beta_start, beta_end, steps) in a
-        process and shared, so its arrays are read-only."""
+        process and shared, which it can be because a Schedule is immutable."""
         return _schedule(self.beta_start, self.beta_end, self.steps)
 
     def sampler_options(self) -> SamplerOptions:
@@ -96,10 +96,7 @@ class ExperimentConfig:
 
 @lru_cache(maxsize=8)
 def _schedule(beta_start: float, beta_end: float, steps: int) -> Schedule:
-    s = build_linear(beta_start, beta_end, steps)
-    for a in (s.beta, s.alpha, s.alpha_bar):
-        a.setflags(write=False)
-    return s
+    return build_linear(beta_start, beta_end, steps)
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     the loss is nan. A non-finite minibatch loss raises DivergenceError whose
     ``step`` is the 1-based epoch.
     """
-    alpha_bar = cfg.schedule().alpha_bar
+    s = cfg.schedule()
     params = mlp.init_params(init_stream(cfg, trial))
     g = train_stream(cfg, trial)
     state = mlp.AdamState.zeros()
@@ -150,7 +147,7 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
     for epoch in range(1, cfg.epochs + 1):
         u = g.uniforms(n)  # the timesteps t = floor(u * T) + 1, uniform on {1..T}
         eps = noise_mod.sample_block(cfg.noise, n, g)
-        sq_err, bad = mlp.train_epoch(params, state, u, eps, cfg.x0, alpha_bar, cfg.batch_size,
+        sq_err, bad = mlp.train_epoch(params, state, u, eps, cfg.x0, s, cfg.batch_size,
                                       cfg.learning_rate)
         if bad is not None:
             raise DivergenceError(
@@ -207,9 +204,11 @@ def run_trials(
     ``min(workers, len(tasks))`` workers when that is above 1, sent in chunks of
     1/(4n) of the tasks. The output and the ``on_result(task index, result)``
     calls follow task order. On Linux the pool forks: a forkserver or spawned
-    worker would start a fresh interpreter, about 0.3 s a pool."""
+    worker would start a fresh interpreter, about 0.3 s a pool. The kernel is
+    loaded first, so that the workers inherit it and none builds it again."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    kernel.default()
     n = min(workers, len(tasks))
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     pool = ProcessPoolExecutor(max_workers=n, mp_context=context) if n > 1 else None

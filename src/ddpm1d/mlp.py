@@ -19,6 +19,7 @@ import numpy as np
 
 from . import kernel
 from .prng import RngStream
+from .schedule import Schedule
 
 N_IN = 2
 HIDDEN = 32
@@ -105,20 +106,20 @@ _FUSED = (loss_and_grad_arrays, adam_step)  # what train_epoch runs in one kerne
 
 
 def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray, x0: float,
-                alpha_bar: np.ndarray, batch_size: int, lr: float) -> tuple[float, int | None]:
+                sched: Schedule, batch_size: int, lr: float) -> tuple[float, int | None]:
     """One epoch of minibatch Adam steps, in place on theta and ``s``.
 
     Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
-    t = floor(u[i] * T) + 1, ab = alpha_bar[t - 1] and T = len(alpha_bar); a u outside [0, 1)
-    or an empty alpha_bar raises ValueError. The kernel builds the rows; then each run of
-    ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays and an adam_step,
-    bit for bit, all in one more kernel call; a rebound name (a profiler's timer, say) is
-    called per minibatch instead. Returns the losses times their row counts, summed in order,
-    and None; or, at the first non-finite loss, the sum before it and its minibatch index, its
-    step not taken. theta, ``s.m`` and ``s.v`` must be writable.
+    t = floor(u[i] * T) + 1, ab = sched.alpha_bar[t - 1] and T = sched.T; a u outside [0, 1)
+    raises ValueError. The kernel builds the rows from the roots that ``sched`` holds;
+    then each run of ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays
+    and an adam_step, bit for bit, all in one more kernel call; a rebound name (a profiler's
+    timer, say) is called per minibatch instead. Returns the losses times their row counts,
+    summed in order, and None; or, at the first non-finite loss, the sum before it and its
+    minibatch index, its step not taken. theta, ``s.m`` and ``s.v`` must be writable.
     """
     X = np.empty((len(u), N_IN))
-    kernel.default().rows(u, eps, x0, alpha_bar, X)
+    kernel.default().rows(u, eps, x0, sched.sqrt_alpha_bar, sched.sqrt_one_minus_alpha_bar, X)
     if (loss_and_grad_arrays, adam_step) == _FUSED:
         sq_err, s.step_count, bad = kernel.default().train_epoch(
             theta, s.m, s.v, s.step_count, X, eps, batch_size, lr)

@@ -1,9 +1,10 @@
-"""Linear beta schedule and the derived alpha / alpha-bar sequences.
+"""Linear beta schedule, the derived alpha / alpha-bar sequences and their square roots.
 
-Arrays are stored 0-based: ``beta[i]`` is the rate at diffusion step
-``t = i + 1``, so ``beta[0]`` is the first-step rate; ``Schedule.index(t)``
-maps a checked 1-based step to its array index. All arithmetic is 64-bit;
-the 500-term cumulative product is not trustworthy in float32.
+Arrays are stored 0-based: ``beta[i]`` is the rate at diffusion step ``t = i + 1``;
+``Schedule.index(t)`` maps a checked 1-based step to its array index. All arithmetic is
+64-bit; the 500-term cumulative product is not trustworthy in float32. ``build_linear``
+takes each root once, with the correctly rounded ``np.sqrt`` (so with the bits of a root
+taken where it is read), and makes all seven arrays read-only: a Schedule is immutable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ class Schedule:
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    sqrt_beta: np.ndarray
+    sqrt_alpha: np.ndarray
+    sqrt_alpha_bar: np.ndarray
+    sqrt_one_minus_alpha_bar: np.ndarray
 
     def index(self, t: int) -> int:
         """Array index of the 1-based step t; IndexError outside 1..T."""
@@ -49,9 +54,12 @@ def build_linear(beta1: float, betaT: float, T: int) -> Schedule:
         raise ConfigError(f"steps={T} is too many to allocate: {exc}") from exc
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    return Schedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    roots = (np.sqrt(beta), np.sqrt(alpha), np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar))
+    for a in (beta, alpha, alpha_bar, *roots):
+        a.setflags(write=False)
+    return Schedule(T, beta, alpha, alpha_bar, *roots)
 
 
 def retention(s: Schedule, t: int) -> float:
     """sqrt(alpha_bar[t]): the fraction of the signal surviving t forward steps."""
-    return float(np.sqrt(s.alpha_bar[s.index(t)]))
+    return float(s.sqrt_alpha_bar[s.index(t)])

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import time
@@ -491,6 +492,25 @@ def test_the_cli_process_has_one_thread_to_fork_from():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"]
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only a forked worker inherits the kernel")
+def test_a_pooled_run_asks_the_compiler_its_version_once_and_builds_once(tmp_path):
+    log, shim = tmp_path / "gcc.log", tmp_path / "bin" / "gcc"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\necho "$*" >> {log}\nexec {shutil.which("gcc")} "$@"\n')
+    shim.chmod(0o755)
+    (tmp_path / "tmp").mkdir()  # a cold kernel cache
+    env = os.environ | {"PATH": f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+                        "TMPDIR": str(tmp_path / "tmp")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddpm1d", "run", "--config", str(write_tiny_config(tmp_path)),
+         "--workers", "2", "--quiet", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = log.read_text().splitlines()
+    assert [c for c in calls if c == "--version"] == ["--version"]
+    assert len([c for c in calls if "-shared" in c]) == 1 and len(calls) == 2
+
 
 def test_workers_default_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -36,7 +36,8 @@ def q_sample_block(x0, ts, s, eps):
     from the timestep uniforms (t - 1/2) / T, which it maps to t = floor(u * T) + 1."""
     out = np.empty((len(ts), 2))
     u = (np.asarray(ts, dtype=np.float64) - 0.5) / s.T
-    kernel.default().rows(u, np.asarray(eps, dtype=np.float64), x0, s.alpha_bar, out)
+    kernel.default().rows(u, np.asarray(eps, dtype=np.float64), x0, s.sqrt_alpha_bar,
+                          s.sqrt_one_minus_alpha_bar, out)
     return out[:, 0]
 
 
@@ -141,6 +142,15 @@ def test_final_step_noiseless_consumes_no_draw(sched, assert_drawn):
     g = seed_stream(0, 0)
     generate_block(null, 2, sched, gaussian_options(), g)
     assert_drawn(g, 0, 0, 2 * sched.T)
+
+
+def test_reverse_mean_has_the_bytes_of_the_roots_taken_per_step(sched):
+    x = seed_stream(5, 0).gaussians(2000) * 3.0
+    pred = mlp_predictor(init_params(seed_stream(5, 1)), sched.T)
+    for t in range(1, sched.T + 1):
+        beta, alpha, ab = sched.beta[t - 1], sched.alpha[t - 1], sched.alpha_bar[t - 1]
+        expected = (x - beta / np.sqrt(1.0 - ab) * pred(x, t)) / np.sqrt(alpha)
+        assert reverse_mean(pred, x, t, sched).tobytes() == expected.tobytes(), t
 
 
 def test_reverse_step_final_equals_mean(sched):

@@ -42,7 +42,7 @@ from ddpm1d.mlp import (
 )
 from ddpm1d.noise import NoiseSpec
 from ddpm1d.prng import seed_stream
-from ddpm1d.schedule import build_linear
+from ddpm1d.schedule import Schedule, build_linear
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -337,19 +337,19 @@ def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
     X, y = inputs(1, 16)
     _, grad = loss_and_grad_arrays(random_theta(1), X, y)
     u, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(1, 1))
-    ab, F = SCHED.alpha_bar, np.asfortranarray(X)
+    F = np.asfortranarray(X)
     refused = {
         "theta must be a C-contiguous float64 array": [
             lambda th, s: forward_batch(list(th), X),
             lambda th, s: loss_and_grad_arrays(list(th), X, y),
             lambda th, s: adam_step(list(th), s, grad, 1e-3),
-            lambda th, s: train_epoch(list(th), s, u, eps, 7.0, ab, 8, 1e-3),
+            lambda th, s: train_epoch(list(th), s, u, eps, 7.0, SCHED, 8, 1e-3),
         ],
         "y must be a float64 array": [
             lambda th, s: loss_and_grad_arrays(th, X, y.astype(np.int64)),
         ],
         "eps must be a float64 array": [
-            lambda th, s: train_epoch(th, s, u, eps.astype(np.int64), 7.0, ab, 8, 1e-3),
+            lambda th, s: train_epoch(th, s, u, eps.astype(np.int64), 7.0, SCHED, 8, 1e-3),
         ],
         "X must be a C-contiguous float64 array": [
             lambda th, s: forward_batch(th, F),
@@ -363,7 +363,7 @@ def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
             lambda th, s: adam_step(th, s, grad[::-1], 1e-3),
         ],
         "u must be a C-contiguous float64 array": [
-            lambda th, s: train_epoch(th, s, u[::-1], eps, 7.0, ab, 8, 1e-3),
+            lambda th, s: train_epoch(th, s, u[::-1], eps, 7.0, SCHED, 8, 1e-3),
         ],
     }
     for match, calls in refused.items():
@@ -394,7 +394,7 @@ def test_flags_do_not_move_the_bits(tmp_path, name):
         for epoch in range(3):
             u, eps = epoch_draws(NoiseSpec("gaussian"), 1000, g=seed_stream(6, epoch))
             X = np.empty((1000, 2))
-            k.rows(u, eps, 7.0, SCHED.alpha_bar, X)
+            k.rows(u, eps, 7.0, SCHED.sqrt_alpha_bar, SCHED.sqrt_one_minus_alpha_bar, X)
             k.train_epoch(theta, m, v, 300 + 16 * epoch, X, eps, 64, 1e-3)
         thetas.append(theta)
     assert thetas[0].tobytes() == thetas[1].tobytes()
@@ -630,7 +630,7 @@ def test_train_epoch_is_bit_equal_to_the_reference_loop(spec, n, batch_size):
     g = seed_stream(3, 1)
     for _ in range(4):
         u, eps = epoch_draws(spec, n, g)
-        sq, bad = train_epoch(theta, s, u, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+        sq, bad = train_epoch(theta, s, u, eps, 7.0, SCHED, batch_size, 1e-3)
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
             ref_theta, ref_s, u, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
         assert bad is None and ref_bad is None
@@ -645,7 +645,7 @@ def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
     u[:3] = (0.0, np.nextafter(1.0, 0.0), 0.499)  # both ends of the schedule, and t = 250
     eps[3:6] = (0.0, -0.0, 1e-300)
     out = np.empty((1000, 2))
-    kernel.default().rows(u, eps, x0, SCHED.alpha_bar, out)
+    kernel.default().rows(u, eps, x0, SCHED.sqrt_alpha_bar, SCHED.sqrt_one_minus_alpha_bar, out)
     ts = numpy_steps(u, 500)
     assert ts[:3].tolist() == [1, 500, 250]
     ab = SCHED.alpha_bar[ts - 1]
@@ -692,7 +692,7 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
             theta.copy(), replace(s, m=s.m.copy(), v=s.v.copy()), u, eps, 7.0, alpha_bar, 32,
             1e300)
-        sq, bad = train_epoch(theta, s, u, eps, 7.0, alpha_bar, 32, 1e300)
+        sq, bad = train_epoch(theta, s, u, eps, 7.0, cfg.schedule(), 32, 1e300)
         assert bad == ref_bad and np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
         assert_same_state(theta, s, ref_theta, ref_s)
     assert bad is not None and f"minibatch {bad}" in str(err.value)
@@ -741,7 +741,7 @@ def test_kernel_steps_are_numpys_floor_of_u_times_T(T):
     alpha_bar = np.linspace(0.999, 0.001, T)
     eps = seed_stream(T, 2).gaussians(len(u))
     out = np.empty((len(u), 2))
-    kernel.default().rows(u, eps, 7.0, alpha_bar, out)
+    kernel.default().rows(u, eps, 7.0, np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar), out)
     ts = numpy_steps(u, T)
     assert ts.min() == 1 and ts.max() == T
     assert out[:, 1].tobytes() == (ts / T).tobytes()
@@ -760,14 +760,15 @@ def test_train_epoch_uniforms_outside_0_1_raise_value_error(bad, path, monkeypat
     theta, s = random_theta(0), AdamState.zeros()
     before = theta.copy()
     u, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
-    alpha_bar = SCHED.alpha_bar
-    if bad == "empty-alpha_bar":
-        alpha_bar, match = alpha_bar[:0], "^alpha_bar must not be empty$"
+    sched = SCHED
+    if bad == "empty-alpha_bar":  # a schedule of no steps, which build_linear refuses to make
+        sched = Schedule(0, *[np.empty(0)] * 7)
+        match = "^the schedule's roots must be nonempty and equally long$"
     else:
         u[37] = bad  # one bad uniform anywhere in the block
         match = rf"^uniform {re.escape(repr(float(bad)))} \(index 37\) outside \[0, 1\)$"
     with pytest.raises(ValueError, match=match):
-        train_epoch(theta, s, u, eps, 7.0, alpha_bar, 64, 1e-3)
+        train_epoch(theta, s, u, eps, 7.0, sched, 64, 1e-3)
     assert theta.tobytes() == before.tobytes() and s.step_count == 0
     assert not s.m.any() and not s.v.any()
     assert not any(calls.values()), calls
@@ -793,7 +794,7 @@ def test_in_place_arguments_are_never_copied(which, make):
     u, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(1, 1))
     state = AdamState(args["m"], args["v"])
     with pytest.raises((ValueError, BufferError)):
-        train_epoch(args["theta"], state, u, eps, 7.0, SCHED.alpha_bar, 64, 1e-3)
+        train_epoch(args["theta"], state, u, eps, 7.0, SCHED, 64, 1e-3)
     for k, a in args.items():
         assert a.tobytes() == before[k].tobytes()
     assert state.step_count == 0
@@ -802,15 +803,14 @@ def test_in_place_arguments_are_never_copied(which, make):
 def test_train_epoch_checks_its_other_arguments():
     theta, s = random_theta(2), AdamState.zeros()
     u, eps = epoch_draws(NoiseSpec("gaussian"), 64, seed_stream(2, 1))
-    ab = SCHED.alpha_bar
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):  # steps in place of uniforms
-        train_epoch(theta, s, numpy_steps(u, 500).astype(np.float64), eps, 7.0, ab, 64, 1e-3)
+        train_epoch(theta, s, numpy_steps(u, 500).astype(np.float64), eps, 7.0, SCHED, 64, 1e-3)
     with pytest.raises(ValueError, match="one value per uniform"):
-        train_epoch(theta, s, u, eps[:63], 7.0, ab, 64, 1e-3)
+        train_epoch(theta, s, u, eps[:63], 7.0, SCHED, 64, 1e-3)
     with pytest.raises(ValueError, match="batch_size"):
-        train_epoch(theta, s, u, eps, 7.0, ab, 0, 1e-3)
+        train_epoch(theta, s, u, eps, 7.0, SCHED, 0, 1e-3)
     with pytest.raises(ValueError, match="learning rate must be > 0, got nan"):
-        train_epoch(theta, s, u, eps, 7.0, ab, 64, float("nan"))
+        train_epoch(theta, s, u, eps, 7.0, SCHED, 64, float("nan"))
     assert s.step_count == 0 and not s.m.any()
 
 
@@ -819,14 +819,16 @@ def valid_call(entry):
     order."""
     X, y = inputs(3, 16)
     u, eps = epoch_draws(NoiseSpec("gaussian"), 16, seed_stream(3, 1))
-    u[0] = np.nextafter(1.0, 0.0)  # the last step, whatever alpha_bar's length
-    theta, ab = random_theta(3), SCHED.alpha_bar.copy()
+    u[0] = np.nextafter(1.0, 0.0)  # the last step
+    theta = random_theta(3)
     m, v, grad = (np.full(N_PARAMS, c) for c in (0.1, 0.2, 0.3))
     return {
         "forward": {"theta": theta, "X": X, "out": np.zeros(16)},
         "loss_and_grad": {"theta": theta, "X": X, "y": y, "grad": np.zeros(N_PARAMS)},
         "adam": {"theta": theta, "m": m, "v": v, "grad": grad, "lr": 1e-3, "t": 1},
-        "rows": {"u": u, "eps": eps, "x0": 7.0, "alpha_bar": ab, "out": np.zeros((16, 2))},
+        "rows": {"u": u, "eps": eps, "x0": 7.0, "sqrt_alpha_bar": SCHED.sqrt_alpha_bar.copy(),
+                 "sqrt_one_minus_alpha_bar": SCHED.sqrt_one_minus_alpha_bar.copy(),
+                 "out": np.zeros((16, 2))},
         "train_epoch": {"theta": theta, "m": m, "v": v, "step": 0, "X": X, "y": y,
                         "batch_size": 8, "lr": 1e-3},
         "noise": {"family": "mixture", "u": u, "w": eps, "out": np.zeros(16), "mix_prob": 0.5,
@@ -838,26 +840,28 @@ WRITTEN = {"forward": {"out"}, "loss_and_grad": {"grad"}, "adam": {"theta", "m",
            "rows": {"out"}, "train_epoch": {"theta", "m", "v"}, "noise": {"out"}}
 FAULTS = {
     "kind": lambda a: a.astype(np.float32),
-    "length": lambda a: a[:-1],  # one value, or one row, fewer
+    "length": lambda a: a[:-1],  # one value, or one row, fewer; a root unequal to the other
     "read-only": read_only,
+    "empty": lambda a: a[:0],  # only the schedule's roots
 }
+ROOTS = ("sqrt_alpha_bar", "sqrt_one_minus_alpha_bar")
 
 
 def expected_error(entry, name, fault):
     """The exception and message a call with ``name`` made bad by ``fault``
-    raises; None for a shorter alpha_bar, a schedule of fewer steps."""
+    raises."""
     if fault == "kind":
         return ValueError, rf"^{name} must be a float64 array$"
     if fault == "read-only":
         return (ValueError, BufferError), "read-only"
+    if name in ROOTS:
+        return ValueError, "^the schedule's roots must be nonempty and equally long$"
     if name in ("theta", "m", "v", "grad"):
         return ValueError, rf"^{name} must hold 129 values$"
     if entry == "noise":
         return ValueError, f"^{'w' if name == 'w' else 'out'} must hold one value per uniform in u$"
     if name in ("u", "eps"):
         return ValueError, "^eps must hold one value per uniform in u$"
-    if name == "alpha_bar":  # it may hold any number of steps
-        return None
     if entry == "rows":
         return ValueError, "^out must hold two values per uniform in u$"
     return ValueError, r"^X must be an \(n, 2\) array with one row per target$"
@@ -867,7 +871,8 @@ def expected_error(entry, name, fault):
     (entry, name, fault)
     for entry in WRITTEN
     for name, a in valid_call(entry).items() if isinstance(a, np.ndarray)
-    for fault in FAULTS if fault != "read-only" or name in WRITTEN[entry]
+    for fault in FAULTS
+    if (fault != "read-only" or name in WRITTEN[entry]) and (fault != "empty" or name in ROOTS)
 ])
 def test_every_array_argument_is_checked_before_use_and_released(entry, name, fault):
     call = valid_call(entry)
@@ -875,14 +880,7 @@ def test_every_array_argument_is_checked_before_use_and_released(entry, name, fa
     arrays = {k: a for k, a in call.items() if isinstance(a, np.ndarray)}
     # a buffer that an error path borrows and does not release holds a reference
     before = {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()}
-    error = expected_error(entry, name, fault)
-    if error is None:
+    error, match = expected_error(entry, name, fault)
+    with pytest.raises(error, match=match):
         getattr(kernel.default(), entry)(*call.values())
-        T = len(call["alpha_bar"])
-        assert call["out"][:, 1].tobytes() == (numpy_steps(call["u"], T) / T).tobytes()
-        assert call["out"][0, 1] == 1.0
-        before["out"] = (call["out"].tobytes(), before["out"][1])
-    else:
-        with pytest.raises(error[0], match=error[1]):
-            getattr(kernel.default(), entry)(*call.values())
     assert {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()} == before

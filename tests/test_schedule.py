@@ -59,6 +59,19 @@ def test_single_step_schedule():
     assert s.beta.shape == s.alpha.shape == s.alpha_bar.shape == (1,)
 
 
+def test_every_array_is_read_only_and_the_roots_are_numpys_square_roots():
+    s = build_linear(1e-4, 0.02, 500)  # straight from build_linear, not a cached copy
+    roots = {"sqrt_beta": s.beta, "sqrt_alpha": s.alpha, "sqrt_alpha_bar": s.alpha_bar,
+             "sqrt_one_minus_alpha_bar": 1.0 - s.alpha_bar}
+    for name, base in roots.items():
+        assert getattr(s, name).tobytes() == np.sqrt(base).tobytes(), name
+    for name in ("beta", "alpha", "alpha_bar", *roots):
+        a = getattr(s, name)
+        assert a.shape == (500,) and not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
 def test_out_of_range_step_raises(paper_schedule):
     assert paper_schedule.index(1) == 0
     assert paper_schedule.index(500) == 499
