@@ -849,7 +849,9 @@ ROOTS = ("sqrt_alpha_bar", "sqrt_one_minus_alpha_bar")
 
 def expected_error(entry, name, fault):
     """The exception and message a call with ``name`` made bad by ``fault``
-    raises."""
+    raises; None for a shorter alpha_bar, a schedule of fewer steps."""
+    if name == "alpha_bar":  # both roots: the first is checked first
+        return (None, None) if fault == "length" else expected_error(entry, ROOTS[0], fault)
     if fault == "kind":
         return ValueError, rf"^{name} must be a float64 array$"
     if fault == "read-only":
@@ -873,14 +875,23 @@ def expected_error(entry, name, fault):
     for name, a in valid_call(entry).items() if isinstance(a, np.ndarray)
     for fault in FAULTS
     if (fault != "read-only" or name in WRITTEN[entry]) and (fault != "empty" or name in ROOTS)
-])
+] + [("rows", "alpha_bar", fault) for fault in ("kind", "length")])
 def test_every_array_argument_is_checked_before_use_and_released(entry, name, fault):
     call = valid_call(entry)
-    call[name] = FAULTS[fault](call[name].copy())
+    # "alpha_bar" is the whole schedule: the fault reaches both of its roots
+    for k in ROOTS if name == "alpha_bar" else (name,):
+        call[k] = FAULTS[fault](call[k].copy())
     arrays = {k: a for k, a in call.items() if isinstance(a, np.ndarray)}
     # a buffer that an error path borrows and does not release holds a reference
     before = {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()}
     error, match = expected_error(entry, name, fault)
-    with pytest.raises(error, match=match):
+    if error is None:
         getattr(kernel.default(), entry)(*call.values())
+        T = len(call["sqrt_alpha_bar"])
+        assert call["out"][:, 1].tobytes() == (numpy_steps(call["u"], T) / T).tobytes()
+        assert call["out"][0, 1] == 1.0
+        before["out"] = (call["out"].tobytes(), before["out"][1])
+    else:
+        with pytest.raises(error, match=match):
+            getattr(kernel.default(), entry)(*call.values())
     assert {k: (a.tobytes(), sys.getrefcount(a)) for k, a in arrays.items()} == before
