@@ -2,9 +2,10 @@
 """Reproduce both recovery-error tables at the full reference configuration.
 
 Writes results/table1/ and results/table2/ (trials.csv, summary.csv,
-manifest.json). At 100 trials per distribution (600 trials) it took 213 s with
---workers 2 on a 2-core x86_64 Xeon host; --trials 20 does a fifth of the work
-and still satisfies the acceptance bands.
+manifest.json). At 100 trials per distribution (600 trials) it took 59 s with
+--workers 2 on a 2-core x86_64 Xeon host with AVX-512 (26.0 s for table1 and
+32.9 s for table2, the manifests' wall times); --trials 20 does a fifth of the
+work and still satisfies the acceptance bands.
 """
 
 import argparse

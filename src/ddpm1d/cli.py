@@ -1,5 +1,5 @@
 """Command-line surface: config parsing, the run/check/selftest subcommands,
-and CSV/manifest serialization.
+and CSV/manifest serialization through one writer, each file whole or absent.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
 """
@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 import time
 import traceback
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import TextIO
 
 # before numpy loads: nothing calls BLAS, and OpenBLAS's idle threads would be forked
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -23,7 +26,6 @@ from .errors import ConfigError, DivergenceError
 from .experiment import (
     ERROR_METRICS,
     REVERSE_NOISE_POLICIES,
-    DistributionRun,
     ExperimentConfig,
     SummaryRow,
     TrialResult,
@@ -79,10 +81,27 @@ def _unique_keys(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".9g")
-    return str(x)
+def _fmt(x: float) -> str:
+    return format(x, ".9g")
+
+
+def _write(path: str | Path, fill: Callable[[TextIO], object]) -> Path:
+    """Write ``path`` whole or not at all: ``fill`` writes into a new file beside it,
+    which then replaces it. Every file a run writes comes through here, the manifest last."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as f:  # a plain open's mode; mkstemp's is 0600
+            fill(f)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once it replaced the target
+    return path
+
+
+def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    return _write(path, lambda f: csv.writer(f).writerows(itertools.chain([header], rows)))
 
 
 def write_csv(
@@ -93,25 +112,15 @@ def write_csv(
     """Write trials.csv and summary.csv; rows keep the caller's canonical
     (experiment, distribution, trial) order. Reals carry 9 significant digits."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trials_path = out / "trials.csv"
-    summary_path = out / "summary.csv"
-    with open(trials_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["experiment", "distribution", "trial", "seed",
-                    "final_loss", "gen_error", "diverged"])
-        for experiment, distribution, r in trial_rows:
-            w.writerow([experiment, distribution, r.trial_index, r.seed_used,
-                        _fmt(r.final_epoch_loss), _fmt(r.gen_error),
-                        "true" if r.diverged else "false"])
-    with open(summary_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["experiment", "distribution", "n_trials", "n_diverged",
-                    "mean_error", "std_error"])
-        for experiment, s in summary_rows:
-            w.writerow([experiment, s.label, s.n_trials, s.n_diverged,
-                        _fmt(s.mean_error), _fmt(s.std_error)])
-    return trials_path, summary_path
+    trials = ([experiment, distribution, r.trial_index, r.seed_used, _fmt(r.final_epoch_loss),
+               _fmt(r.gen_error), "true" if r.diverged else "false"]
+              for experiment, distribution, r in trial_rows)
+    summaries = ([experiment, s.label, s.n_trials, s.n_diverged, _fmt(s.mean_error),
+                  _fmt(s.std_error)] for experiment, s in summary_rows)
+    return (_write_rows(out / "trials.csv", ["experiment", "distribution", "trial", "seed",
+                                             "final_loss", "gen_error", "diverged"], trials),
+            _write_rows(out / "summary.csv", ["experiment", "distribution", "n_trials",
+                                              "n_diverged", "mean_error", "std_error"], summaries))
 
 
 def write_manifest(
@@ -129,17 +138,8 @@ def write_manifest(
         "wall_time_seconds": wall_time,
         "worker_count": workers,
     }
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _dump_weights(run: DistributionRun, path: str) -> None:
-    if run.first_trial_params is None:
-        raise DivergenceError("cannot dump weights: trial 0 diverged during training")
-    # the path may lie in --out, which write_csv has not created yet
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(list(run.first_trial_params)) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return _write(Path(out_dir) / "manifest.json", lambda f: f.write(text))
 
 
 def _can_become(path: str, directory: bool) -> bool:
@@ -258,8 +258,13 @@ def _cmd_run(args) -> int:
 
     trial_rows = [(args.experiment, run.label, r) for run in runs for r in run.results]
     summary_rows = [(args.experiment, run.summary) for run in runs]
-    if args.dump_weights:  # before the CSVs, so a failed dump leaves none
-        _dump_weights(runs[0], args.dump_weights)
+    weights = runs[0].first_trial_params
+    if args.dump_weights and weights is None:  # before any write, so a failed dump leaves none
+        raise DivergenceError("cannot dump weights: trial 0 diverged during training")
+    # a directory with a manifest holds the run it describes, so the old one goes first
+    (Path(args.out) / "manifest.json").unlink(missing_ok=True)
+    if args.dump_weights:
+        _write(args.dump_weights, lambda f: f.write(json.dumps(list(weights)) + "\n"))
     write_csv(trial_rows, summary_rows, args.out)
     write_manifest(cfg, args.out, wall, args.workers, args.experiment)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -398,6 +399,45 @@ def test_runtime_failures_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" not in err and "cannot dump weights" in err
     assert not out_dir.exists()
+
+def test_an_interrupted_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, monkeypatch):
+    argv = ["run", "--experiment", "table1", "--config", str(write_tiny_config(tmp_path)),
+            "--workers", "1", "--quiet"]
+    out_dir, clean = tmp_path / "out", tmp_path / "clean"
+    assert main([*argv, "--out", str(out_dir)]) == 0
+    assert main([*argv, "--out", str(clean), "--seed", "5"]) == 0
+    whole = {name: {(d / name).read_bytes() for d in (out_dir, clean)}
+             for name in ("trials.csv", "summary.csv")}
+    calls, fmt = itertools.count(), cli._fmt
+
+    def fmt_interrupted_in_the_third_trial_row(x):
+        if next(calls) == 5:
+            raise RuntimeError("interrupted")
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", fmt_interrupted_in_the_third_trial_row)
+    assert main([*argv, "--out", str(out_dir), "--seed", "5"]) == 2
+    left = sorted(os.listdir(out_dir))
+    assert set(left) <= {"trials.csv", "summary.csv"}  # no manifest, no temporary file
+    for name in left:
+        assert (out_dir / name).read_bytes() in whole[name]
+
+def test_every_file_of_a_run_goes_through_the_one_writer_manifest_last(tmp_path, monkeypatch):
+    written, write = [], cli._write
+
+    def recording_write(path, fill):
+        written.append(Path(path))
+        return write(path, fill)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    out_dir = tmp_path / "out"
+    dump = out_dir / "weights.json"
+    assert main(["run", "--experiment", "table1", "--config", str(write_tiny_config(tmp_path)),
+                 "--out", str(out_dir), "--dump-weights", str(dump), "--workers", "1",
+                 "--quiet"]) == 0
+    assert written == [dump, out_dir / "trials.csv", out_dir / "summary.csv",
+                       out_dir / "manifest.json"]
+    assert sorted(out_dir.iterdir()) == sorted(written)  # nothing written around the writer
 
 def fail_on_trial_4(cfg, trial):
     """run_trial, but trial 4 raises an error that is not a divergence. Module
