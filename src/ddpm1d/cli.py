@@ -24,7 +24,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import __version__, kernel
 from .errors import ConfigError, DivergenceError
 from .experiment import (
-    ERROR_METRICS,
     REVERSE_NOISE_POLICIES,
     ExperimentConfig,
     SummaryRow,
@@ -90,7 +89,7 @@ def _write(path: str | Path, fill: Callable[[TextIO], object]) -> Path:
     which then replaces it. Every file a run writes comes through here, the manifest last."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")  # path.name may use up NAME_MAX
     try:
         with open(tmp, "x", newline="") as f:  # a plain open's mode; mkstemp's is 0600
             fill(f)
@@ -165,8 +164,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--workers", type=int, default=cpus,
                      help="trial worker processes; never affects results")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--gens-per-trial", type=int)
-    run.add_argument("--metric", choices=ERROR_METRICS, dest="error_metric")
     run.add_argument("--normalize-mixture", action="store_const", const=True,
                      help="rescale mixture noise to unit variance")
     run.add_argument("--reverse-noise", choices=REVERSE_NOISE_POLICIES,
@@ -177,9 +174,6 @@ def _build_parser() -> _Parser:
 
     check = sub.add_parser("check", help="print schedule constants")
     check.add_argument("--config", help="JSON config file")
-    check.add_argument("--beta-start", type=float)
-    check.add_argument("--beta-end", type=float)
-    check.add_argument("--steps", type=int)
 
     sub.add_parser("selftest", help="reproduce five reference trials.csv rows")
     return parser
@@ -192,8 +186,7 @@ def _overrides(args) -> dict:
 
 
 def _cmd_check(args) -> int:
-    cfg = parse_config(args.config, _overrides(args))
-    s = cfg.schedule()
+    s = parse_config(args.config).schedule()
     print(f"beta[1]    = {_fmt(s.beta[0])}")
     print(f"beta[{s.T}]  = {_fmt(s.beta[-1])}")
     print(f"sqrt(alpha_bar[{s.T}]) = {_fmt(retention(s, s.T))}")
@@ -235,6 +228,10 @@ def _cmd_run(args) -> int:
                              ("--dump-weights", args.dump_weights, "a file")):
         if path is not None and not _can_become(path, kind == "a directory"):
             raise ConfigError(f"{flag} {path} is not {kind} and cannot become one")
+    dump, out = Path(args.dump_weights or "").resolve(), Path(args.out).resolve()
+    files = {out / name for name in ("trials.csv", "summary.csv", "manifest.json")}
+    if args.dump_weights and (dump in (out, *out.parents) or files & {dump, *dump.parents}):
+        raise ConfigError(f"--dump-weights {args.dump_weights} collides with --out {args.out}")
     if args.experiment == "table1":
         distributions = table1_distributions()
     elif args.experiment == "table2":

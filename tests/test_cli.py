@@ -173,8 +173,9 @@ def test_check_command_prints_constants(capsys):
     value = float(out.split("sqrt(alpha_bar[500]) =")[1].strip().splitlines()[0])
     assert value == pytest.approx(0.0797038945, rel=1e-8)
 
-def test_check_with_flags(capsys):
-    assert main(["check", "--beta-start", "0.5", "--beta-end", "0.5", "--steps", "1"]) == 0
+def test_check_with_config(tmp_path, capsys):
+    config = write_tiny_config(tmp_path, beta_start=0.5, beta_end=0.5, steps=1)
+    assert main(["check", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "sqrt(alpha_bar[1])" in out
 
@@ -259,7 +260,7 @@ def test_cli_seed_flag_changes_results(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, name",
-    [("--metric", "error_metric"), ("--reverse-noise", "reverse_noise")],
+    [("--reverse-noise", "reverse_noise")],
 )
 def test_flag_choices_come_from_the_schema(flag, name):
     parser = _build_parser()
@@ -304,6 +305,23 @@ def test_out_that_cannot_be_a_directory_fails_before_any_trial(
     assert f"config error: {flag} {path} is not a" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
     assert not (tmp_path / "out").exists()
+
+@pytest.mark.parametrize(
+    "out, dump",
+    [("out", "out/manifest.json"), ("out", "out"), ("w/out", "w"),
+     ("out", "out/../out/trials.csv/w.json")],
+    ids=["a-file-of-out", "out-itself", "above-out", "under-a-file-of-out"],
+)
+def test_dump_weights_that_collides_with_out_fails_before_any_trial(
+    tmp_path, capsys, monkeypatch, out, dump
+):
+    monkeypatch.setattr("ddpm1d.cli.run_suite", lambda *a, **k: pytest.fail("a trial ran"))
+    out, dump = tmp_path / out, tmp_path / dump
+    argv = ["run", "--config", str(write_tiny_config(tmp_path, trials=1)), "--out", str(out),
+            "--dump-weights", str(dump), "--quiet"]
+    assert main(argv) == 1
+    assert f"config error: --dump-weights {dump} collides" in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
 
 def test_bad_config_exit_code(tmp_path, capsys):
     path = write_tiny_config(tmp_path, warmup=3)
@@ -372,7 +390,7 @@ def test_non_positive_workers_exit_code(tmp_path, capsys, workers):
 
 def test_unallocatable_steps_exit_code(tmp_path, capsys):
     # 10**17 float64 values are 800 PB, beyond any address space
-    assert main(["check", "--steps", "100000000000000000"]) == 1
+    assert main(["check", "--config", str(write_tiny_config(tmp_path, steps=10**17))]) == 1
     assert "config error" in capsys.readouterr().err
     config = write_tiny_config(tmp_path, steps=10**19)
     out_dir = tmp_path / "out"
@@ -439,6 +457,16 @@ def test_every_file_of_a_run_goes_through_the_one_writer_manifest_last(tmp_path,
                        out_dir / "manifest.json"]
     assert sorted(out_dir.iterdir()) == sorted(written)  # nothing written around the writer
 
+def test_dump_weights_to_a_250_character_name(tmp_path):
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 250:
+        pytest.skip("this file system's names are shorter than 250 characters")
+    dump = tmp_path / ("w" * 245 + ".json")
+    assert main(["run", "--config", str(write_tiny_config(tmp_path, trials=1)),
+                 "--out", str(tmp_path / "out"), "--dump-weights", str(dump), "--workers", "1",
+                 "--quiet"]) == 0
+    assert len(json.loads(dump.read_text())) == 129
+    assert sorted(os.listdir(tmp_path)) == sorted(["config.json", "out", dump.name])
+
 def fail_on_trial_4(cfg, trial):
     """run_trial, but trial 4 raises an error that is not a divergence. Module
     level, so that it pickles by reference to a pool worker."""
@@ -472,8 +500,8 @@ def config_echo(tmp_path, config, *flags):
     return json.loads((out_dir / "manifest.json").read_text())["config_echo"]
 
 def test_renamed_flags_resolve_to_their_config_keys(tmp_path):
-    echo = config_echo(tmp_path, write_tiny_config(tmp_path, trials=1),
-                       "--seed", "5", "--metric", "abs_mean", "--normalize-mixture")
+    echo = config_echo(tmp_path, write_tiny_config(tmp_path, trials=1, error_metric="abs_mean"),
+                       "--seed", "5", "--normalize-mixture")
     assert echo["base_seed"] == 5
     assert echo["error_metric"] == "abs_mean"
     assert echo["normalize_mixture"] is True

@@ -570,8 +570,8 @@ def test_missing_build_tool_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     else:
         paths = kernel.sysconfig.get_paths() | {"include": str(tmp_path)}
         monkeypatch.setattr(kernel.sysconfig, "get_paths", lambda: paths)
-    code = cli.main(["run", "--trials", "1", "--gens-per-trial", "1", "--workers", "1",
-                     "--quiet", "--out", str(tmp_path / "out")])
+    code = cli.main(["run", "--trials", "1", "--workers", "1", "--quiet",
+                     "--out", str(tmp_path / "out")])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("runtime error: cannot build")

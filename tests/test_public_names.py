@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+from ddpm1d.cli import _build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ddpm1d"
 READERS = [*PACKAGE.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
@@ -34,3 +36,17 @@ def test_every_public_name_in_src_has_a_reader():
               for name in public_names(ast.parse(path.read_text(encoding="utf-8")))
               if len(re.findall(rf"\b{name}\b", text)) < 2]
     assert unread == []
+
+
+def test_every_cli_option_has_a_caller():
+    """Each option string of ``run`` and ``check`` but ``-h``/``--help`` appears
+    as a whole flag, not inside a longer one, in README.md, ``scripts/``,
+    ``perfbench/*.py``, the benchmark workloads or the acceptance tests; a
+    flag that nothing passes or documents is a second path to a config key."""
+    callers = [ROOT / "README.md", *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
+               *ROOT.glob("perfbench/workloads/*.json"), ROOT / "tests" / "test_acceptance.py"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    options = {o for name in ("run", "check") for a in subcommands[name]._actions
+               for o in a.option_strings if o not in ("-h", "--help")}
+    assert sorted(o for o in options if not re.search(rf"(?<![\w-]){o}(?![\w-])", text)) == []
