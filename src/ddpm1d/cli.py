@@ -56,12 +56,14 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     data: dict = {}
     if path is not None:
         p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        try:
+        try:  # any readable path: a file, a pipe, /dev/stdin
             data = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except ConfigError:
             raise
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {p}") from None
+        except OSError as exc:  # a directory, no permission
+            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from exc
         except (ValueError, RecursionError) as exc:  # bad UTF-8, long ints, deep nesting
             raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
         if not isinstance(data, dict):

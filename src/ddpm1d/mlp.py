@@ -109,9 +109,9 @@ def train_epoch(theta: np.ndarray, s: AdamState, u: np.ndarray, eps: np.ndarray,
                 sched: Schedule, batch_size: int, lr: float) -> tuple[float, int | None]:
     """One epoch of minibatch Adam steps, in place on theta and ``s``.
 
-    Row i, with target eps[i], is (sqrt(ab) * x0 + sqrt(1 - ab) * eps[i], t / T), where
-    t = floor(u[i] * T) + 1, ab = sched.alpha_bar[t - 1] and T = sched.T; a u outside [0, 1)
-    raises ValueError. The kernel builds the rows from the roots that ``sched`` holds;
+    Row i, with target eps[i], is (ra[t - 1] * x0 + rb[t - 1] * eps[i], t / T), where ra and
+    rb are sched.sqrt_alpha_bar and sched.sqrt_one_minus_alpha_bar, t = floor(u[i] * T) + 1
+    and T = sched.T; a u outside [0, 1) raises ValueError. The kernel builds the rows;
     then each run of ``batch_size`` rows, the last possibly short, is a loss_and_grad_arrays
     and an adam_step, bit for bit, all in one more kernel call; a rebound name (a profiler's
     timer, say) is called per minibatch instead. Returns the losses times their row counts,

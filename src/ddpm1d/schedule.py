@@ -1,10 +1,10 @@
-"""Linear beta schedule, the derived alpha / alpha-bar sequences and their square roots.
+"""Linear beta schedule: beta and the four square roots that the program reads.
 
-Arrays are stored 0-based: ``beta[i]`` is the rate at diffusion step ``t = i + 1``;
-``Schedule.index(t)`` maps a checked 1-based step to its array index. All arithmetic is
-64-bit; the 500-term cumulative product is not trustworthy in float32. ``build_linear``
-takes each root once, with the correctly rounded ``np.sqrt`` (so with the bits of a root
-taken where it is read), and makes all seven arrays read-only: a Schedule is immutable.
+Arrays are 0-based: ``beta[i]`` is the rate at step ``t = i + 1``; ``Schedule.index(t)``
+maps a checked 1-based step to its index. All arithmetic is 64-bit. ``build_linear``
+computes alpha = 1 - beta and alpha_bar = cumprod(alpha) (not trustworthy in float32 over
+500 terms), takes sqrt(beta), sqrt(alpha), sqrt(alpha_bar) and sqrt(1 - alpha_bar) once
+with the correctly rounded ``np.sqrt`` and keeps only beta and those roots, read-only.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import ConfigError
 class Schedule:
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
     sqrt_beta: np.ndarray
     sqrt_alpha: np.ndarray
     sqrt_alpha_bar: np.ndarray
@@ -55,9 +53,9 @@ def build_linear(beta1: float, betaT: float, T: int) -> Schedule:
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     roots = (np.sqrt(beta), np.sqrt(alpha), np.sqrt(alpha_bar), np.sqrt(1.0 - alpha_bar))
-    for a in (beta, alpha, alpha_bar, *roots):
+    for a in (beta, *roots):
         a.setflags(write=False)
-    return Schedule(T, beta, alpha, alpha_bar, *roots)
+    return Schedule(T, beta, *roots)
 
 
 def retention(s: Schedule, t: int) -> float:

@@ -78,6 +78,23 @@ def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.json")
 
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="the host has no /dev/stdin")
+def test_check_reads_a_config_piped_to_dev_stdin(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"steps": 10}')
+    assert main(["check", "--config", str(config)]) == 0
+    expected = capsys.readouterr().out
+    assert "beta[10]  = 0.02" in expected
+    proc = subprocess.run([sys.executable, "-m", "ddpm1d", "check", "--config", "/dev/stdin"],
+                          input='{"steps": 10}', capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+def test_a_config_path_that_cannot_be_read_is_one_config_error_line(tmp_path, capsys):
+    assert main(["check", "--config", str(tmp_path)]) == 1  # a directory
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err and "not found" not in err
+
 # files json.loads cannot read: a syntax error, an integer beyond Python's
 # int-from-string digit limit, bytes that are not UTF-8, nesting beyond the
 # recursion limit

@@ -83,8 +83,9 @@ def test_q_sample_block_matches_scalar(sched):
     ts = np.array([1, 17, 250, 500, 3, 499, 128])
     eps = np.array([0.3, -1.2, 2.0, 0.0, 1e-300, -7.5, 3.25])
     block = q_sample_block(X0, ts, sched, eps)
+    alpha_bar = np.cumprod(1.0 - sched.beta)
     by_hand = [
-        math.sqrt(sched.alpha_bar[t - 1]) * X0 + math.sqrt(1.0 - sched.alpha_bar[t - 1]) * e
+        math.sqrt(alpha_bar[t - 1]) * X0 + math.sqrt(1.0 - alpha_bar[t - 1]) * e
         for t, e in zip(ts.tolist(), eps.tolist())
     ]
     assert block.tobytes() == np.array(by_hand).tobytes()
@@ -115,8 +116,9 @@ def test_step_noise_has_variance_beta():
     x0_hats, diverged = generate_block(null, 5, s2, opts, seed_stream(0, 0))
     g = seed_stream(0, 0)
     x_T, z2, z1 = g.gaussians(5), g.gaussians(5), g.gaussians(5)
-    x1 = x_T / np.sqrt(s2.alpha[1]) + np.sqrt(s2.beta[1]) * z2
-    assert np.array_equal(x0_hats, x1 / np.sqrt(s2.alpha[0]) + np.sqrt(s2.beta[0]) * z1)
+    alpha = 1.0 - s2.beta
+    x1 = x_T / np.sqrt(alpha[1]) + np.sqrt(s2.beta[1]) * z2
+    assert np.array_equal(x0_hats, x1 / np.sqrt(alpha[0]) + np.sqrt(s2.beta[0]) * z1)
     assert not diverged.any()
 
 
@@ -124,7 +126,7 @@ def test_reverse_mean_with_null_predictor(sched):
     null = lambda x, t: 0.0
     x = 3.7
     assert reverse_mean(null, x, 42, sched) == pytest.approx(
-        x / np.sqrt(sched.alpha[41]), rel=1e-15
+        x / np.sqrt(1.0 - sched.beta[41]), rel=1e-15
     )
 
 
@@ -147,8 +149,10 @@ def test_final_step_noiseless_consumes_no_draw(sched, assert_drawn):
 def test_reverse_mean_has_the_bytes_of_the_roots_taken_per_step(sched):
     x = seed_stream(5, 0).gaussians(2000) * 3.0
     pred = mlp_predictor(init_params(seed_stream(5, 1)), sched.T)
+    alphas = 1.0 - sched.beta
+    alpha_bars = np.cumprod(alphas)
     for t in range(1, sched.T + 1):
-        beta, alpha, ab = sched.beta[t - 1], sched.alpha[t - 1], sched.alpha_bar[t - 1]
+        beta, alpha, ab = sched.beta[t - 1], alphas[t - 1], alpha_bars[t - 1]
         expected = (x - beta / np.sqrt(1.0 - ab) * pred(x, t)) / np.sqrt(alpha)
         assert reverse_mean(pred, x, t, sched).tobytes() == expected.tobytes(), t
 
@@ -159,7 +163,7 @@ def test_reverse_step_final_equals_mean(sched):
     x_T = seed_stream(0, 0).gaussians(4)
     x0_hats, diverged = generate_block(null, 4, s1, gaussian_options(), seed_stream(0, 0))
     assert not diverged.any()
-    assert x0_hats == pytest.approx(x_T / np.sqrt(s1.alpha[0]), rel=1e-15)
+    assert x0_hats == pytest.approx(x_T / np.sqrt(1.0 - s1.beta[0]), rel=1e-15)
 
 
 def test_noiseless_oracle_chain_contracts_to_target(sched):
@@ -220,7 +224,7 @@ def test_forward_marginal_moments(sched):
     n = 100_000
     eps = sample_block(NoiseSpec("gaussian"), n, seed_stream(3, 0))
     x_t = q_sample_block(X0, np.full(n, t), sched, eps)
-    ab = sched.alpha_bar[t - 1]
+    ab = np.cumprod(1.0 - sched.beta)[t - 1]
     assert abs(x_t.mean() - np.sqrt(ab) * X0) < 3.0 * np.sqrt((1 - ab) / n)
     assert abs(x_t.var() - (1 - ab)) < 0.05 * (1 - ab)
 

@@ -397,8 +397,7 @@ def test_a_schedule_is_built_once_per_triple_and_is_read_only(monkeypatch):
     assert built == [(0.0123, 0.0456, 77)]
     assert replace(cfg, steps=78).schedule().T == 78 and len(built) == 2
     fresh = schedule.build_linear(0.0123, 0.0456, 77)
-    for name in ("beta", "alpha", "alpha_bar", "sqrt_beta", "sqrt_alpha", "sqrt_alpha_bar",
-                 "sqrt_one_minus_alpha_bar"):
+    for name in ("beta", "sqrt_beta", "sqrt_alpha", "sqrt_alpha_bar", "sqrt_one_minus_alpha_bar"):
         assert getattr(s, name).tobytes() == getattr(fresh, name).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             getattr(s, name)[0] = 0.5

@@ -12,6 +12,7 @@ kernel's own order, unit by unit for every row, and the forward pass agrees
 with it bit for bit, up to the sign and payload of a NaN.
 """
 
+import functools
 import math
 import re
 import subprocess
@@ -187,11 +188,18 @@ def isa_or_skip(name):
     return ISAS[name]
 
 
+@pytest.fixture(scope="session")
+def build(tmp_path_factory):
+    """``build(flags)``: the kernel built with ``flags`` into one private directory,
+    where ``kernel.load``'s hash names let every later test load that build again
+    instead of compiling it. Tests of the cache itself keep their own directories."""
+    return functools.partial(kernel.load, tmp_path_factory.mktemp("builds"))
+
+
 @pytest.fixture(scope="module")
-def isa_builds(tmp_path_factory):
+def isa_builds(build):
     """The kernel built for each ISA variant that the host runs, by name."""
-    return {name: kernel.load(tmp_path_factory.mktemp(name), (*kernel.FLAGS, *isa))
-            for name, isa in ISAS.items() if host_runs(name)}
+    return {name: build((*kernel.FLAGS, *isa)) for name, isa in ISAS.items() if host_runs(name)}
 
 
 def loop_loss_and_grad(theta, X, y):
@@ -377,10 +385,10 @@ def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
 
 # each ISA at -O3, and -march=native, against the baseline build at -O2
 @pytest.mark.parametrize("name", [*ISAS, "native"])
-def test_flags_do_not_move_the_bits(tmp_path, name):
+def test_flags_do_not_move_the_bits(build, name):
     extra = ("-march=native",) if name == "native" else isa_or_skip(name)
-    base = kernel.load(tmp_path / "base", kernel.FLAGS)
-    variant = kernel.load(tmp_path / "variant", (*kernel.FLAGS, *extra, "-O3"))
+    base = build(kernel.FLAGS)
+    variant = build((*kernel.FLAGS, *extra, "-O3"))
     assert base.__file__ != variant.__file__
     thetas = []
     for k in (base, variant):
@@ -464,15 +472,15 @@ NOISE_SPECS = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine")
 # the builds that test_flags_do_not_move_the_bits compares: each ISA, and -march=native -O3
 @pytest.mark.parametrize("name", [*ISAS, "native"])
 @pytest.mark.parametrize("spec", NOISE_SPECS, ids=lambda spec: spec.label())
-def test_noise_has_the_numpy_formulas_bytes(isa_builds, tmp_path, monkeypatch, name, spec):
+def test_noise_has_the_numpy_formulas_bytes(isa_builds, build, monkeypatch, name, spec):
     if name == "native":
-        build = kernel.load(tmp_path, (*kernel.FLAGS, "-march=native", "-O3"))
+        k = build((*kernel.FLAGS, "-march=native", "-O3"))
     else:
         isa_or_skip(name)
-        build = isa_builds[name]
+        k = isa_builds[name]
     # sin and cos stay libm's scalar functions, which numpy's equal: no libmvec
-    assert b"_ZGV" not in Path(build.__file__).read_bytes()
-    monkeypatch.setattr(kernel, "default", lambda: build)
+    assert b"_ZGV" not in Path(k.__file__).read_bytes()
+    monkeypatch.setattr(kernel, "default", lambda: k)
     g, ref = seed_stream(9, 4), NumpyNoise(seed_stream(9, 4))
     # odd lengths leave a pair's second value in the cache for the next block
     for n in (1, 2, 7, 0, 1000, 999, 3, 2000, 1):
@@ -596,6 +604,11 @@ def numpy_steps(u, T):
     return np.floor(u * T).astype(np.int64) + 1
 
 
+def alpha_bar_of(sched):
+    """The schedule's alpha_bar, by build_linear's own operations on its beta."""
+    return np.cumprod(1.0 - sched.beta)
+
+
 def reference_epoch(theta, s, u, eps, x0, alpha_bar, batch_size, lr):
     """The epoch as train_trial ran it before train_epoch: the steps and the rows
     by the q_sample formula in numpy, then a loss_and_grad_arrays and an
@@ -632,7 +645,7 @@ def test_train_epoch_is_bit_equal_to_the_reference_loop(spec, n, batch_size):
         u, eps = epoch_draws(spec, n, g)
         sq, bad = train_epoch(theta, s, u, eps, 7.0, SCHED, batch_size, 1e-3)
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
-            ref_theta, ref_s, u, eps, 7.0, SCHED.alpha_bar, batch_size, 1e-3)
+            ref_theta, ref_s, u, eps, 7.0, alpha_bar_of(SCHED), batch_size, 1e-3)
         assert bad is None and ref_bad is None
         assert np.float64(sq).tobytes() == np.float64(ref_sq).tobytes()
         assert_same_state(theta, s, ref_theta, ref_s)
@@ -648,7 +661,7 @@ def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
     kernel.default().rows(u, eps, x0, SCHED.sqrt_alpha_bar, SCHED.sqrt_one_minus_alpha_bar, out)
     ts = numpy_steps(u, 500)
     assert ts[:3].tolist() == [1, 500, 250]
-    ab = SCHED.alpha_bar[ts - 1]
+    ab = alpha_bar_of(SCHED)[ts - 1]
     assert out[:, 0].tobytes() == (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).tobytes()
     assert out[:, 1].tobytes() == (ts / 500).tobytes()
 
@@ -656,7 +669,7 @@ def test_kernel_rows_have_the_q_sample_formula_bytes(x0):
 def reference_train(cfg, trial):
     """train_trial as it was before train_epoch, on reference_epoch."""
     theta, s = init_params(init_stream(cfg, trial)), AdamState.zeros()
-    g, alpha_bar = train_stream(cfg, trial), cfg.schedule().alpha_bar
+    g, alpha_bar = train_stream(cfg, trial), alpha_bar_of(cfg.schedule())
     loss = math.nan
     for epoch in range(1, cfg.epochs + 1):
         u, eps = epoch_draws(cfg.noise, cfg.samples_per_epoch, g)
@@ -686,7 +699,7 @@ def test_divergence_is_found_in_the_same_epoch_and_minibatch():
     assert err.value.step == ref.value.step
     # inside the epoch: the state stops before the minibatch whose loss is not finite
     theta, s = init_params(init_stream(cfg, 0)), AdamState.zeros()
-    g, alpha_bar = train_stream(cfg, 0), cfg.schedule().alpha_bar
+    g, alpha_bar = train_stream(cfg, 0), alpha_bar_of(cfg.schedule())
     for _ in range(err.value.step):
         u, eps = epoch_draws(cfg.noise, 256, g)
         ref_theta, ref_s, ref_sq, ref_bad = reference_epoch(
@@ -762,7 +775,7 @@ def test_train_epoch_uniforms_outside_0_1_raise_value_error(bad, path, monkeypat
     u, eps = epoch_draws(NoiseSpec("gaussian"), 100, seed_stream(0, 1))
     sched = SCHED
     if bad == "empty-alpha_bar":  # a schedule of no steps, which build_linear refuses to make
-        sched = Schedule(0, *[np.empty(0)] * 7)
+        sched = Schedule(0, *[np.empty(0)] * 5)
         match = "^the schedule's roots must be nonempty and equally long$"
     else:
         u[37] = bad  # one bad uniform anywhere in the block

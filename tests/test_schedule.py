@@ -12,10 +12,26 @@ from ddpm1d.schedule import build_linear, retention
 # the first-order approximation exp(-sum(beta)/2) = 0.08107
 RETENTION_500 = 0.07970389449089078
 
+# every array a Schedule holds
+ARRAYS = ("beta", "sqrt_beta", "sqrt_alpha", "sqrt_alpha_bar", "sqrt_one_minus_alpha_bar")
+
 
 @pytest.fixture(scope="module")
 def paper_schedule():
     return build_linear(1e-4, 0.02, 500)
+
+
+def alphas_of(s):
+    """alpha and alpha_bar by build_linear's own operations on ``s.beta``, after
+    asserting that the roots ``s`` stores are ``np.sqrt`` of them, bit for bit:
+    an identity on the two is then one on what the Schedule holds."""
+    alpha = 1.0 - s.beta
+    alpha_bar = np.cumprod(alpha)
+    roots = {"sqrt_beta": s.beta, "sqrt_alpha": alpha, "sqrt_alpha_bar": alpha_bar,
+             "sqrt_one_minus_alpha_bar": 1.0 - alpha_bar}
+    for name, base in roots.items():
+        assert getattr(s, name).tobytes() == np.sqrt(base).tobytes(), name
+    return alpha, alpha_bar
 
 
 def test_beta_endpoints_exact(paper_schedule):
@@ -37,35 +53,35 @@ def test_retention_strictly_decreasing(paper_schedule):
 
 
 def test_terminal_state_nearly_pure_noise(paper_schedule):
-    assert 0.99 < 1.0 - paper_schedule.alpha_bar[499] < 1.0
+    _, ab = alphas_of(paper_schedule)
+    assert 0.99 < 1.0 - ab[499] < 1.0
 
 
 def test_alpha_bar_recurrence_exact_in_float(paper_schedule):
-    ab = paper_schedule.alpha_bar
-    assert np.array_equal(ab[1:], ab[:-1] * paper_schedule.alpha[1:])
-    assert ab[0] == paper_schedule.alpha[0]
+    alpha, ab = alphas_of(paper_schedule)
+    assert np.array_equal(ab[1:], ab[:-1] * alpha[1:])
+    assert ab[0] == alpha[0]
 
 
 def test_alpha_bar_against_log_sum(paper_schedule):
-    via_logs = np.exp(np.sum(np.log(paper_schedule.alpha)))
-    direct = paper_schedule.alpha_bar[499]
+    alpha, ab = alphas_of(paper_schedule)
+    via_logs = np.exp(np.sum(np.log(alpha)))
+    direct = ab[499]
     assert abs(via_logs - direct) / direct < 1e-12
 
 
 def test_single_step_schedule():
     s = build_linear(0.5, 0.5, 1)
-    assert s.alpha_bar[0] == 0.5
+    _, ab = alphas_of(s)
+    assert ab[0] == 0.5
     assert s.beta[0] == 0.5
-    assert s.beta.shape == s.alpha.shape == s.alpha_bar.shape == (1,)
+    assert {getattr(s, name).shape for name in ARRAYS} == {(1,)}
 
 
 def test_every_array_is_read_only_and_the_roots_are_numpys_square_roots():
     s = build_linear(1e-4, 0.02, 500)  # straight from build_linear, not a cached copy
-    roots = {"sqrt_beta": s.beta, "sqrt_alpha": s.alpha, "sqrt_alpha_bar": s.alpha_bar,
-             "sqrt_one_minus_alpha_bar": 1.0 - s.alpha_bar}
-    for name, base in roots.items():
-        assert getattr(s, name).tobytes() == np.sqrt(base).tobytes(), name
-    for name in ("beta", "alpha", "alpha_bar", *roots):
+    alphas_of(s)
+    for name in ARRAYS:
         a = getattr(s, name)
         assert a.shape == (500,) and not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
@@ -113,8 +129,9 @@ def test_schedule_invariants_hold_for_any_valid_input(a, b, T):
     assert s.beta.shape == (T,)
     assert np.all((s.beta > 0.0) & (s.beta < 1.0))
     assert np.all(np.diff(s.beta) >= 0.0)
-    assert np.all(np.diff(s.alpha_bar) < 0.0) or T == 1
-    assert 0.0 < s.alpha_bar[-1] <= s.alpha_bar[0] < 1.0
+    _, ab = alphas_of(s)
+    assert np.all(np.diff(ab) < 0.0) or T == 1
+    assert 0.0 < ab[-1] <= ab[0] < 1.0
     assert s.beta[0] == beta1
     if T > 1:
         assert s.beta[s.index(T)] == betaT
