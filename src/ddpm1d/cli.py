@@ -257,7 +257,7 @@ def _cmd_run(args) -> int:
 
     trial_rows = [(args.experiment, run.label, r) for run in runs for r in run.results]
     summary_rows = [(args.experiment, run.summary) for run in runs]
-    weights = runs[0].first_trial_params
+    weights = runs[0].results[0].params
     if args.dump_weights and weights is None:  # before any write, so a failed dump leaves none
         raise DivergenceError("cannot dump weights: trial 0 diverged during training")
     # a directory with a manifest holds the run it describes, so the old one goes first
@@ -297,5 +297,5 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a runtime failure; an unexpected one shows its traceback
         if not isinstance(exc, (OSError, DivergenceError)):
             traceback.print_exc()
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -106,6 +106,8 @@ class TrialResult:
     final_epoch_loss: float
     gen_error: float
     diverged: bool
+    # the trained θ, None if training diverged; == compares the five fields above
+    params: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,23 +186,25 @@ def evaluate_trial(
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, np.ndarray | None]:
-    """One full train-then-generate trial. A divergence in either phase comes
-    back as a flagged result, with the params when training finished."""
+    """One full train-then-generate trial. A divergence in either phase comes back
+    as a flagged result that keeps θ if training finished. Returns ``(result,
+    result.params)``, the pair ``perfbench/`` unpacks until ROADMAP item 18."""
     params, final_loss = None, math.nan
     try:
         params, final_loss = train_trial(cfg, trial)
-        gen_error = evaluate_trial(params, cfg, trial)
+        r = TrialResult(trial, cfg.base_seed, final_loss, evaluate_trial(params, cfg, trial),
+                        False, params)
     except DivergenceError:
-        return TrialResult(trial, cfg.base_seed, final_loss, math.nan, True), params
-    return TrialResult(trial, cfg.base_seed, final_loss, gen_error, False), params
+        r = TrialResult(trial, cfg.base_seed, final_loss, math.nan, True, params)
+    return r, r.params
 
 
 def run_trials(
     tasks: list[tuple[ExperimentConfig, int]],
     workers: int = 1,
     on_result: Callable[[int, TrialResult], None] | None = None,
-) -> list[tuple[TrialResult, np.ndarray | None]]:
-    """Run ``(config, trial)`` tasks, over one process pool of at most
+) -> list[TrialResult]:
+    """The records of ``(config, trial)`` tasks, run over one process pool of at most
     ``min(workers, len(tasks))`` workers when that is above 1, sent in chunks of
     1/(4n) of the tasks. The output and the ``on_result(task index, result)``
     calls follow task order. On Linux the pool forks: a forkserver or spawned
@@ -216,16 +220,15 @@ def run_trials(
         pairs = (pool.map(run_trial, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * n)))
                  if pool else itertools.starmap(run_trial, tasks))
         out = []
-        for i, pair in enumerate(pairs):
-            out.append(pair)
+        for i, (result, _) in enumerate(pairs):
+            out.append(result)
             if on_result is not None:
-                on_result(i, pair[0])
+                on_result(i, result)
     return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
-    tasks = [(cfg, i) for i in range(cfg.trials)]
-    return [result for result, _ in run_trials(tasks, workers)]
+    return run_trials([(cfg, i) for i in range(cfg.trials)], workers)
 
 
 def summarize(results: list[TrialResult], label: str) -> SummaryRow:
@@ -263,7 +266,6 @@ class DistributionRun:
     label: str
     results: list[TrialResult]
     summary: SummaryRow
-    first_trial_params: np.ndarray | None
 
 
 def run_suite(
@@ -280,10 +282,6 @@ def run_suite(
     callback = None
     if on_result is not None:
         callback = lambda k, r: on_result(labels[k // cfg.trials], r)
-    pairs = run_trials(tasks, workers, callback)
-    runs = []
-    for j, label in enumerate(labels):
-        chunk = pairs[j * cfg.trials : (j + 1) * cfg.trials]
-        results = [result for result, _ in chunk]
-        runs.append(DistributionRun(label, results, summarize(results, label), chunk[0][1]))
-    return runs
+    results = run_trials(tasks, workers, callback)
+    chunks = [results[j * cfg.trials : (j + 1) * cfg.trials] for j in range(len(labels))]
+    return [DistributionRun(label, c, summarize(c, label)) for label, c in zip(labels, chunks)]

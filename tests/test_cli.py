@@ -503,6 +503,20 @@ def test_an_unexpected_error_in_a_pooled_trial_exits_2(tmp_path, monkeypatch, ca
     assert lines[-1] == "runtime error: unexpected failure in trial 4"
     assert not out_dir.exists()  # so no trials.csv
 
+@pytest.mark.parametrize("error, traceback", [(MemoryError(), True), (OSError(), False)])
+def test_a_runtime_error_without_a_message_is_named_by_its_type(tmp_path, monkeypatch, capsys,
+                                                                 error, traceback):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code = main(["run", "--config", str(write_tiny_config(tmp_path)),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"runtime error: {type(error).__name__}"
+    assert ("Traceback" in err) == traceback
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_parsed_arguments_are_config_keys_or_command_options(command):
     args = _build_parser().parse_args([command])

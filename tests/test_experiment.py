@@ -120,6 +120,8 @@ def test_run_trial_handles_divergence_mark():
     result, params = run_trial(cfg, 0)
     assert result.diverged
     assert math.isnan(result.gen_error)
+    assert result.params is None
+    assert params is result.params  # the pair perfbench unpacks
 
 
 def test_training_divergence_reports_one_based_epoch():
@@ -147,7 +149,8 @@ def test_run_trial_flags_evaluation_divergence_and_keeps_params():
     assert result.diverged
     assert result.final_epoch_loss == final_loss
     assert math.isnan(result.gen_error)
-    assert np.array_equal(kept, params)
+    assert np.array_equal(result.params, params)
+    assert kept is result.params  # the pair perfbench unpacks
 
 
 def test_single_trial_experiment():
@@ -250,6 +253,30 @@ def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
     assert seen == [0, 1, 2, 3, 4]  # the first chunk came back; the rest is lost
 
 
+def train_trial_diverging_on_uniform_trial_1(cfg, trial):
+    """train_trial, but uniform trial 1 trains at a learning rate that blows up."""
+    if cfg.noise.family == "uniform" and trial == 1:
+        cfg = replace(cfg, learning_rate=1e300)
+    return train_trial(cfg, trial)
+
+
+def test_params_are_identical_across_worker_counts(monkeypatch):
+    # == leaves params out, so θ is compared here trial by trial
+    monkeypatch.setattr(experiment, "train_trial", train_trial_diverging_on_uniform_trial_1)
+    cfg = tiny_cfg(trials=3, epochs=2)
+    serial = run_suite(cfg, table1_distributions(), workers=1)
+    pooled = run_suite(cfg, table1_distributions(), workers=2)
+    records = [(a, b) for s, p in zip(serial, pooled) for a, b in zip(s.results, p.results)]
+    assert len(records) == 9
+    for a, b in records:
+        assert repr(a) == repr(b)  # nan != nan, so == fails on a diverged record that was pickled
+        if a.params is None:
+            assert b.params is None
+        else:
+            assert a.params.shape == (N_PARAMS,) and np.array_equal(a.params, b.params)
+    assert [a.params is None for a, _ in records] == [k == 4 for k in range(9)]
+
+
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "built", [])
@@ -322,7 +349,7 @@ def test_run_suite_smoke():
     for run in runs:
         assert len(run.results) == 1
         assert run.summary.n_trials == 1
-        assert run.first_trial_params is not None
+        assert run.results[0].params.shape == (N_PARAMS,)
 
 
 def test_run_table_wrappers():
@@ -346,7 +373,7 @@ def test_matched_seeds_across_distributions():
             assert np.array_equal(theta, init), label
     # and training from it then depends on the noise
     runs = run_suite(cfg, table1_distributions(), workers=1)
-    assert not np.array_equal(runs[0].first_trial_params, runs[1].first_trial_params)
+    assert not np.array_equal(runs[0].results[0].params, runs[1].results[0].params)
 
 
 def test_config_validation_messages():
