@@ -36,6 +36,10 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   temporary directory;
 - ``write_manifest``: ``cli.write_manifest`` of the ``fanout`` workload's config
   into a temporary directory;
+- ``kernel_load``: a warm ``kernel.load()`` of the default build, as a fresh
+  process makes it: the source read, its digest, the ``gcc --version`` call
+  (its cache cleared before each call) and the import, which in this process
+  finds the library already loaded;
 - ``cli_startup``: one fresh ``python -m ddpm1d check`` process per call, from
   its start to its exit, with this process's environment;
 - ``run_trials``: ``experiment.run_trials`` of the ``fanout`` workload's 600
@@ -175,6 +179,8 @@ def measure(tiny: bool) -> dict:
                               {"chains": chains, "t": t, "family": "gaussian"}, "us"),
         "write_csv": write_csv,
         "write_manifest": write_manifest,
+        "kernel_load": timed(lambda: (kernel.compiler_version.cache_clear(), kernel.load()),
+                             repeats, calls // 10 or 1, ms, {"build": "default, cached"}, "ms"),
         "cli_startup": timed(lambda: subprocess.run(check, check=True, stdout=subprocess.DEVNULL),
                              repeats, 1, ms, {"command": "python -m ddpm1d check"}, "ms"),
         "run_trials": timed(lambda: run_trials(tasks, workers=2), repeats, 1, ms,

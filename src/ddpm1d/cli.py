@@ -129,13 +129,13 @@ def write_manifest(
     experiment: str,
 ) -> Path:
     """``config_echo`` fed back through ``--config``, with ``--experiment``
-    set to ``experiment``, reruns the same trials; ``kernel`` names the
-    network kernel's source, compiler and flags."""
+    set to ``experiment``, reruns the same trials; ``kernel`` is the loaded
+    kernel build's own record of its source, compiler and flags."""
     manifest = {
         "config_echo": cfg.to_dict(),
         "experiment": experiment,
         "artifact_version": __version__,
-        "kernel": kernel.provenance(),
+        "kernel": kernel.default().provenance,
         "wall_time_seconds": wall_time,
         "worker_count": workers,
     }

@@ -106,8 +106,18 @@ class TrialResult:
     final_epoch_loss: float
     gen_error: float
     diverged: bool
-    # the trained θ, None if training diverged; == compares the five fields above
-    params: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # the trained θ, None if training diverged; == and hash leave it out
+    params: np.ndarray | None = field(default=None, repr=False)
+
+    def _reported(self) -> tuple:  # nan as None: a nan back from the pool is a new object
+        return tuple(None if v != v else v for v in (
+            self.trial_index, self.seed_used, self.final_epoch_loss, self.gen_error, self.diverged))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TrialResult) and self._reported() == other._reported()
+
+    def __hash__(self) -> int:
+        return hash(self._reported())
 
 
 @dataclass(frozen=True)
@@ -169,10 +179,7 @@ def evaluate_trial(
     |mean(x0_hat) - x0|. Diverged generations are excluded; if every one
     diverges the trial itself counts as diverged.
     """
-    if isinstance(params, np.ndarray):
-        pred = diffusion.mlp_predictor(params, cfg.steps)
-    else:
-        pred = params
+    pred = diffusion.mlp_predictor(params, cfg.steps) if isinstance(params, np.ndarray) else params
     g = eval_stream(cfg, trial)
     x0_hats, diverged = diffusion.generate_block(
         pred, cfg.gens_per_trial, cfg.schedule(), cfg.sampler_options(), g

@@ -4,13 +4,13 @@
 The extension is compiled with ``gcc`` against the running Python's headers
 the first time it is needed, not on import. It is cached in a private
 per-user directory, ``ddpm1d-kernel-<uid>`` under the system temp directory.
-The cached file is named by the sha256 of the source, the compiler's version,
-the flags and the extension suffix, so an edited source, another compiler or
-another Python gets a build of its own. The default flags add the widest
-vector ISA that the host runs and that the gradient has lanes for, so each ISA
-has a build of its own too, with the same bits. A build writes a temporary
-name and publishes it with ``os.replace``, so processes that build at once do
-not race.
+``load`` reads the source once and gcc compiles those bytes from its stdin;
+their sha256, the compiler's version, the flags and the extension suffix name
+the cached file, so an edited source, another compiler or another Python gets a
+build of its own. The default flags add the widest vector ISA that the host
+runs and that the gradient has lanes for, so each ISA has a build of its own
+too, with the same bits. A build writes a temporary name and publishes it with
+``os.replace``, so processes that build at once do not race.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ def host_flags() -> tuple[str, ...]:
 
 
 def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = None) -> ModuleType:
-    """The compiled kernel, built with ``CC`` and ``flags`` (default:
-    ``host_flags()``) into ``cache_dir`` (default: the cache described above)
-    unless a build is already there.
+    """The compiled kernel, built with ``CC`` and ``flags`` (default: ``host_flags()``)
+    into ``cache_dir`` (default: the cache described above) unless a build is already
+    there. Its ``provenance`` holds the sha256 of the bytes built, the compiler and flags.
 
     A missing compiler or ``Python.h`` raises FileNotFoundError naming it."""
     flags = host_flags() if flags is None else flags
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    parts = [SOURCE.read_bytes(), str(compiler_version(CC)).encode(),
-             *(f.encode() for f in flags), suffix.encode()]
+    source, compiler = SOURCE.read_bytes(), compiler_version(CC)
+    parts = [source, str(compiler).encode(), *(f.encode() for f in flags), suffix.encode()]
     digest = hashlib.sha256(b"\0".join(parts)).hexdigest()
     directory = Path(cache_dir if cache_dir is not None
                      else Path(tempfile.gettempdir()) / f"ddpm1d-kernel-{os.getuid()}")
@@ -69,10 +69,12 @@ def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = No
                       "writable directory")
     path = directory / f"_kernel.{digest[:16]}{suffix}"
     if not path.is_file():
-        _build(path, flags)
+        _build(path, source, flags)
     spec = importlib.util.spec_from_file_location("ddpm1d._kernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    module.provenance = {"source_sha256": hashlib.sha256(source).hexdigest(),
+                         "compiler": compiler, "flags": list(flags)}
     return module
 
 
@@ -101,7 +103,7 @@ def _private_and_writable(d: Path) -> bool:
     return st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(d, os.W_OK)
 
 
-def _build(path: Path, flags: tuple[str, ...]) -> None:
+def _build(path: Path, source: bytes, flags: tuple[str, ...]) -> None:
     if shutil.which(CC) is None:
         raise FileNotFoundError(f"cannot build the network kernel: C compiler {CC!r} not found")
     include = sysconfig.get_paths()["include"]
@@ -114,22 +116,13 @@ def _build(path: Path, flags: tuple[str, ...]) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [CC, *flags, "-shared", "-fPIC", "-I", include, str(SOURCE), "-o", tmp, "-lm"],
-            capture_output=True, text=True,
+            [CC, *flags, "-shared", "-fPIC", "-I", include, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source, capture_output=True,
         )
         if proc.returncode != 0:
-            raise OSError(f"cannot build the network kernel: {CC} failed:\n{proc.stderr}")
+            raise OSError(f"cannot build the network kernel: {CC} failed:\n{proc.stderr.decode()}")
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
 
-
-def provenance() -> dict:
-    """What names the kernel's cached build: its source, compiler and flags,
-    the ISA flag included."""
-    return {
-        "source_sha256": hashlib.sha256(SOURCE.read_bytes()).hexdigest(),
-        "compiler": compiler_version(CC),
-        "flags": list(host_flags()),
-    }

@@ -8,7 +8,7 @@ UNITS = {"forward_batch": "us", "loss_and_grad_arrays": "us", "adam_step": "us",
          "sample_block.arcsine": "us", "sample_block.mix0.5": "us",
          "uniforms": "us", "gaussians": "us", "rows": "us",
          "train_epoch": "ms", "train_epoch.late": "ms", "evaluate_trial": "ms", "reverse_step": "us", "write_csv": "ms",
-         "write_manifest": "ms", "cli_startup": "ms", "run_trials": "ms"}
+         "write_manifest": "ms", "kernel_load": "ms", "cli_startup": "ms", "run_trials": "ms"}
 
 
 def test_tiny_run_reports_every_entry_with_its_unit(capsys):

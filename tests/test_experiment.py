@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
@@ -269,12 +270,22 @@ def test_params_are_identical_across_worker_counts(monkeypatch):
     records = [(a, b) for s, p in zip(serial, pooled) for a, b in zip(s.results, p.results)]
     assert len(records) == 9
     for a, b in records:
-        assert repr(a) == repr(b)  # nan != nan, so == fails on a diverged record that was pickled
+        assert a == b
         if a.params is None:
             assert b.params is None
         else:
             assert a.params.shape == (N_PARAMS,) and np.array_equal(a.params, b.params)
     assert [a.params is None for a, _ in records] == [k == 4 for k in range(9)]
+
+
+def test_a_diverged_record_equals_its_copy_from_the_pool():
+    # a pickled nan comes back as a new object, and nan != nan
+    r = TrialResult(1, 123, math.nan, math.nan, True)
+    copy = pickle.loads(pickle.dumps(r))
+    assert copy.gen_error is not r.gen_error
+    assert copy == r and hash(copy) == hash(r)
+    assert replace(r, params=np.ones(N_PARAMS)) == r  # θ is left out
+    assert replace(r, gen_error=0.5) != r and r != (1, 123, math.nan, math.nan, True)
 
 
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):

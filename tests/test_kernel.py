@@ -13,6 +13,8 @@ with it bit for bit, up to the sign and payload of a NaN.
 """
 
 import functools
+import hashlib
+import json
 import math
 import re
 import subprocess
@@ -508,8 +510,7 @@ def test_the_default_build_is_for_the_widest_isa_the_host_runs(tmp_path, monkeyp
     host = umath.__cpu_features__
     isa = ("-mavx512f",) if host.get("AVX512F") else ("-mavx2",) if host.get("AVX2") else ()
     assert kernel.host_flags() == (*kernel.FLAGS, *isa)
-    assert kernel.provenance()["flags"] == [*kernel.FLAGS, *isa]
-    kernel.load(tmp_path)
+    assert kernel.load(tmp_path).provenance["flags"] == [*kernel.FLAGS, *isa]
     kernel.load(tmp_path, (*kernel.FLAGS, *isa))
     assert len(list(tmp_path.iterdir())) == 1  # the default build is that one
     for features, want in [({"AVX512F": True, "AVX2": True}, ("-mavx512f",)),
@@ -522,9 +523,68 @@ def test_the_default_build_is_for_the_widest_isa_the_host_runs(tmp_path, monkeyp
 def test_another_compiler_gets_a_build_of_its_own(tmp_path, monkeypatch):
     kernel.load(tmp_path)
     monkeypatch.setattr(kernel, "compiler_version", lambda cc: "gcc (other build) 99.1")
-    kernel.load(tmp_path)
+    assert kernel.load(tmp_path).provenance["compiler"] == "gcc (other build) 99.1"
     assert len(list(tmp_path.iterdir())) == 2
-    assert kernel.provenance()["compiler"] == "gcc (other build) 99.1"
+
+
+def source_copy(tmp_path, monkeypatch, path_type=Path):
+    """``kernel.SOURCE`` pointed at a copy of the source in ``tmp_path``, as
+    ``path_type``; the copy and the original bytes."""
+    source, original = path_type(tmp_path / "_kernel.c"), kernel.SOURCE.read_bytes()
+    source.write_bytes(original)
+    monkeypatch.setattr(kernel, "SOURCE", source)
+    return source, original
+
+
+def test_a_source_edited_during_a_build_cannot_poison_the_cache(tmp_path, monkeypatch):
+    source, original = source_copy(tmp_path, monkeypatch)
+    edited = original.replace(b"out[r] = s[r] + th[OFF_B2];", b"out[r] = s[r] + th[OFF_B2] + 1.0;")
+    assert edited != original
+    run = subprocess.run
+
+    def edit_then_run(cmd, **kwargs):  # the source changes just before gcc starts
+        if "-shared" in cmd:
+            source.write_bytes(edited)
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(kernel.subprocess, "run", edit_then_run)
+    kernel.load(tmp_path / "cache")
+    source.write_bytes(original)
+    out = np.empty(1)
+    kernel.load(tmp_path / "cache").forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
+    assert out[0] == 81.0  # the restored source's value; the edit would give 82.0
+
+
+def test_load_reads_the_source_once_and_the_manifest_names_those_bytes(tmp_path, monkeypatch):
+    reads = []
+
+    class CountingPath(type(Path())):
+        def open(self, *args, **kwargs):
+            reads.append(self)
+            return super().open(*args, **kwargs)
+
+    source, original = source_copy(tmp_path, monkeypatch, CountingPath)
+    run = subprocess.run
+
+    def run_counting_gcc(cmd, **kwargs):  # gcc reads the source if its command names it
+        reads.extend(arg for arg in cmd if arg == str(source))
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(kernel.subprocess, "run", run_counting_gcc)
+    cache = tmp_path / "cache"
+    for state in ("cold", "warm"):
+        reads.clear()
+        k = kernel.load(cache)
+        assert len(reads) == 1, state
+        assert len(list(cache.iterdir())) == 1
+    source.write_bytes(original + b"\n/* edited after the load */\n")
+    monkeypatch.setattr(kernel, "default", lambda: k)
+    path = cli.write_manifest(ExperimentConfig(), tmp_path / "out", 1.0, 1, "single")
+    assert json.loads(path.read_text())["kernel"] == {
+        "source_sha256": hashlib.sha256(original).hexdigest(),
+        "compiler": kernel.compiler_version(kernel.CC),
+        "flags": list(kernel.host_flags()),
+    }
 
 
 def test_two_processes_building_a_cold_cache_at_once(tmp_path):
