@@ -109,7 +109,7 @@ def measure(tiny: bool) -> dict:
     # the sample workload's config (perfbench/workloads/sample.json), gaussian family
     eval_cfg = ExperimentConfig(epochs=2 if tiny else 100, gens_per_trial=chains, steps=steps,
                                 trials=1)
-    trained, _ = train_trial(eval_cfg, 0)
+    trained, _, _ = train_trial(eval_cfg, 0)
     u, eps = g.uniforms(draws), g.gaussians(draws)
     out = np.empty((draws, 2))
     train_sched = train_cfg.schedule()
@@ -136,7 +136,7 @@ def measure(tiny: bool) -> dict:
     for _ in range(late_epochs):
         late_epoch()
     losses, errors = g.uniforms(fanout_trials), g.uniforms(fanout_trials)
-    trials = [TrialResult(i, 0, float(losses[i]), float(errors[i]), False)
+    trials = [TrialResult(i, 0, float(losses[i]), float(errors[i]), None)
               for i in range(fanout_trials)]
     trial_rows = [("table1", label, r) for label, _ in table1_distributions() for r in trials]
     summary_rows = [("table1", summarize(trials, label)) for label, _ in table1_distributions()]

@@ -244,7 +244,7 @@ def _cmd_run(args) -> int:
     progress = None
     if not args.quiet:
         def progress(label: str, r: TrialResult) -> None:
-            status = " DIVERGED" if r.diverged else ""
+            status = f" DIVERGED ({r.divergence})" if r.diverged else ""
             print(
                 f"[{label}] trial {r.trial_index}: loss={_fmt(r.final_epoch_loss)} "
                 f"err={_fmt(r.gen_error)}{status}",

@@ -8,8 +8,8 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """A diffusion chain or training run hit a non-finite or exploding value.
 
-    ``step`` is the 1-based reverse step (or training epoch) where the blow-up
-    was detected, when known.
+    ``step`` is the 1-based reverse step where the blow-up was detected, when
+    known.
     """
 
     def __init__(self, message: str, step: int | None = None):

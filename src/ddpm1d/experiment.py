@@ -29,7 +29,7 @@ import numpy as np
 from . import diffusion, kernel, mlp, schema
 from . import noise as noise_mod
 from .diffusion import SamplerOptions
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .noise import NoiseSpec
 from .prng import RngStream, seed_stream
 from .schedule import Schedule, build_linear, check_linear
@@ -105,13 +105,18 @@ class TrialResult:
     seed_used: int
     final_epoch_loss: float
     gen_error: float
-    diverged: bool
+    divergence: str | None  # where the trial diverged, as "training epoch 2, minibatch 0"
     # the trained θ, None if training diverged; == and hash leave it out
     params: np.ndarray | None = field(default=None, repr=False)
 
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
+
     def _reported(self) -> tuple:  # nan as None: a nan back from the pool is a new object
         return tuple(None if v != v else v for v in (
-            self.trial_index, self.seed_used, self.final_epoch_loss, self.gen_error, self.diverged))
+            self.trial_index, self.seed_used, self.final_epoch_loss, self.gen_error,
+            self.divergence))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TrialResult) and self._reported() == other._reported()
@@ -143,12 +148,12 @@ def eval_stream(cfg: ExperimentConfig, trial: int) -> RngStream:
     return g
 
 
-def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
-    """Train one denoiser; returns (params, mean loss of the last epoch).
+def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray | None, float, str | None]:
+    """Train one denoiser; returns (params, mean loss of the last epoch, divergence).
 
     With epochs = 0 the freshly initialized parameters come back untouched and
-    the loss is nan. A non-finite minibatch loss raises DivergenceError whose
-    ``step`` is the 1-based epoch.
+    the loss is nan. A non-finite minibatch loss ends training with ``(None, nan,
+    "training epoch {1-based epoch}, minibatch {0-based index}")``.
     """
     s = cfg.schedule()
     params = mlp.init_params(init_stream(cfg, trial))
@@ -162,22 +167,20 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, float]:
         sq_err, bad = mlp.train_epoch(params, state, u, eps, cfg.x0, s, cfg.batch_size,
                                       cfg.learning_rate)
         if bad is not None:
-            raise DivergenceError(
-                f"non-finite training loss in epoch {epoch}, minibatch {bad}", step=epoch
-            )
+            return None, math.nan, f"training epoch {epoch}, minibatch {bad}"
         final_loss = sq_err / n
-    return params, final_loss
+    return params, final_loss, None
 
 
 def evaluate_trial(
     params: np.ndarray | diffusion.Predictor, cfg: ExperimentConfig, trial: int
-) -> float:
-    """Generation error of a trained model (or any predictor) on this trial's
-    evaluation stream.
+) -> tuple[float, str | None]:
+    """``(generation error, divergence)`` of a trained model (or any predictor) on
+    this trial's evaluation stream.
 
     mean_abs averages |x0_hat - x0| over the generated samples; abs_mean is
     |mean(x0_hat) - x0|. Diverged generations are excluded; if every one
-    diverges the trial itself counts as diverged.
+    diverges, the error is nan and the divergence names the chains.
     """
     pred = diffusion.mlp_predictor(params, cfg.steps) if isinstance(params, np.ndarray) else params
     g = eval_stream(cfg, trial)
@@ -186,23 +189,20 @@ def evaluate_trial(
     )
     good = x0_hats[~diverged]
     if good.size == 0:
-        raise DivergenceError("all generations diverged")
+        return math.nan, f"evaluation, all {cfg.gens_per_trial} chains"
     if cfg.error_metric == "mean_abs":
-        return float(np.mean(np.abs(good - cfg.x0)))
-    return float(abs(np.mean(good) - cfg.x0))
+        return float(np.mean(np.abs(good - cfg.x0))), None
+    return float(abs(np.mean(good) - cfg.x0)), None
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, np.ndarray | None]:
-    """One full train-then-generate trial. A divergence in either phase comes back
-    as a flagged result that keeps θ if training finished. Returns ``(result,
-    result.params)``, the pair ``perfbench/`` unpacks until ROADMAP item 18."""
-    params, final_loss = None, math.nan
-    try:
-        params, final_loss = train_trial(cfg, trial)
-        r = TrialResult(trial, cfg.base_seed, final_loss, evaluate_trial(params, cfg, trial),
-                        False, params)
-    except DivergenceError:
-        r = TrialResult(trial, cfg.base_seed, final_loss, math.nan, True, params)
+    """One full train-then-generate trial. A divergence in either phase is named on
+    the record, which keeps θ if training finished. Returns ``(record,
+    record.params)``, the pair ``perfbench/`` unpacks until ROADMAP item 18."""
+    params, final_loss, divergence = train_trial(cfg, trial)
+    gen_error, divergence = ((math.nan, divergence) if divergence
+                             else evaluate_trial(params, cfg, trial))
+    r = TrialResult(trial, cfg.base_seed, final_loss, gen_error, divergence, params)
     return r, r.params
 
 

@@ -14,6 +14,16 @@ settings.register_profile(
 settings.load_profile("ddpm1d")
 
 
+def multiarray_umath():
+    """numpy's ``_multiarray_umath``, which holds its CPU tables. numpy < 2 keeps it
+    under ``numpy.core``, and ``kernel.host_flags`` reads it the same way."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
 @pytest.fixture
 def assert_drawn():
     """``assert_drawn(g, seed, stream_id, k)`` asserts that stream ``g`` has drawn

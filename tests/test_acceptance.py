@@ -40,15 +40,13 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def table1_runs():
+def runs():
+    """The runs of tables 1 and 2 by label, from one suite of their five distinct
+    distributions over one pool, as ``selftest`` builds them: table 2's gaussian
+    is table 1's, trial for trial."""
     cfg = ExperimentConfig(trials=TRIALS)
-    return run_suite(cfg, table1_distributions(), workers=WORKERS)
-
-
-@pytest.fixture(scope="module")
-def table2_runs():
-    cfg = ExperimentConfig(trials=TRIALS)
-    return run_suite(cfg, table2_distributions(), workers=WORKERS)
+    distributions = table1_distributions() + table2_distributions()[1:]
+    return {run.label: run for run in run_suite(cfg, distributions, workers=WORKERS)}
 
 
 def exact_retention(beta1: Fraction, betaT: Fraction, T: int) -> float:
@@ -152,8 +150,8 @@ def test_criterion_4_oracle_sampler():
     assert elapsed < 30.0
 
 
-def test_criterion_5_table1_bands(table1_runs):
-    means = {run.label: run.summary.mean_error for run in table1_runs}
+def test_criterion_5_table1_bands(runs):
+    means = {label: runs[label].summary.mean_error for label, _ in table1_distributions()}
     ratio = max(means.values()) / min(means.values())
     ok = all(m < 0.2 for m in means.values()) and ratio < 3.0
     detail = ", ".join(f"{label}={m:.4f}" for label, m in means.items())
@@ -163,8 +161,8 @@ def test_criterion_5_table1_bands(table1_runs):
     assert ratio < 3.0
 
 
-def test_criterion_6_table2_ordering(table2_runs):
-    means = {run.label: run.summary.mean_error for run in table2_runs}
+def test_criterion_6_table2_ordering(runs):
+    means = {label: runs[label].summary.mean_error for label, _ in table2_distributions()}
     ok = (
         means["gaussian"] < means["mix0.9"] < means["mix0.5"]
         and means["mix0.5"] > 2.0 * means["gaussian"]

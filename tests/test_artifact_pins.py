@@ -101,7 +101,7 @@ def test_run_artifacts_match_reference(tmp_path, workload, seed, workers):
 def test_sampler_output_matches_digest():
     c = cli.parse_config(BENCH / "workloads" / "sample.json", {"base_seed": 0})
     c = replace(c, noise=dict(table2_distributions())["mix0.5"])
-    params, _ = train_trial(c, 0)
+    params = train_trial(c, 0)[0]
     x0_hats, mask = generate_block(
         mlp_predictor(params, c.steps), c.gens_per_trial, c.schedule(),
         c.sampler_options(), eval_stream(c, 0),
@@ -113,7 +113,7 @@ def test_sampler_output_matches_digest():
 @pytest.mark.parametrize("label", TRAIN_WEIGHTS_SHA256)
 def test_full_length_weights_match_digest(label):
     c = cli.parse_config(BENCH / "workloads" / "train.json", {"base_seed": 0})
-    params, _ = train_trial(replace(c, noise=dict(table1_distributions())[label]), 0)
+    params = train_trial(replace(c, noise=dict(table1_distributions())[label]), 0)[0]
     assert hashlib.sha256(params.tobytes()).hexdigest() == TRAIN_WEIGHTS_SHA256[label], (
         f"train {label} trial 0: weights after 3000 epochs moved"
     )

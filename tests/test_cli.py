@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import multiarray_umath
 
 from ddpm1d import cli, experiment, kernel
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
@@ -160,7 +162,7 @@ def test_normalize_mixture_key(tmp_path):
     assert cfg.noise.normalize
 
 def test_write_csv_schema_and_order(tmp_path):
-    r = TrialResult(0, 9, 0.125, 0.0625, False)
+    r = TrialResult(0, 9, 0.125, 0.0625, None)
     rows = [("table2", "gaussian", r), ("table2", "mix0.9", r), ("table2", "mix0.5", r)]
     summaries = [
         ("table2", SummaryRow("gaussian", 0.05, 0.01, 1, 0)),
@@ -176,7 +178,7 @@ def test_write_csv_schema_and_order(tmp_path):
     assert [line.split(",")[1] for line in summary_lines[1:]] == ["gaussian", "mix0.9", "mix0.5"]
 
 def test_write_csv_nine_significant_digits(tmp_path):
-    r = TrialResult(0, 0, 1.0 / 3.0, 2.0 / 3.0, False)
+    r = TrialResult(0, 0, 1.0 / 3.0, 2.0 / 3.0, None)
     trials_path, _ = write_csv([("single", "gaussian", r)], [], tmp_path)
     row = trials_path.read_text().splitlines()[1]
     assert "0.333333333" in row
@@ -435,6 +437,40 @@ def test_runtime_failures_exit_code(tmp_path, capsys):
     assert "config error" not in err and "cannot dump weights" in err
     assert not out_dir.exists()
 
+@pytest.mark.parametrize("extra, divergence", [
+    # Adam at learning rate 1e300 takes one step; the second minibatch's loss is not finite
+    ({"learning_rate": 1e300}, "training epoch 1, minibatch 1"),
+    # every x_T is drawn with std ~3e7, beyond the divergence limit
+    ({"noise": {"family": "mixture", "mix_prob": 0.0, "big_variance": 1e15}},
+     "evaluation, all 5 chains"),
+], ids=["training", "evaluation"])
+def test_a_divergence_is_named_on_its_record_row_and_progress_line(
+        tmp_path, capsys, extra, divergence):
+    config = write_tiny_config(tmp_path, **extra)
+    cfg = parse_config(config)
+    tasks = [(cfg, i) for i in range(TINY["trials"])]
+    records = experiment.run_trials(tasks, 1)
+    assert experiment.run_trials(tasks, 2) == records
+    assert [r.divergence for r in records] == [divergence] * TINY["trials"]
+    # a training divergence keeps no loss and no θ; an evaluation divergence keeps both
+    finished_training = divergence.startswith("evaluation")
+    assert all(math.isfinite(r.final_epoch_loss) == finished_training == (r.params is not None)
+               for r in records)
+    label, csv_bytes = cfg.noise.label(), set()
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--workers", workers]) == 0
+        rows = (out / "trials.csv").read_text().splitlines()[1:]
+        progress = capsys.readouterr().err.splitlines()
+        for r, row, line in zip(records, rows, progress, strict=True):
+            loss = cli._fmt(r.final_epoch_loss)
+            assert row == f"single,{label},{r.trial_index},9,{loss},nan,true"
+            assert line == (f"[{label}] trial {r.trial_index}: loss={loss} err=nan "
+                            f"DIVERGED ({divergence})")
+        csv_bytes.add((out / "trials.csv").read_bytes())
+    assert len(csv_bytes) == 1
+
 def test_an_interrupted_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, monkeypatch):
     argv = ["run", "--experiment", "table1", "--config", str(write_tiny_config(tmp_path)),
             "--workers", "1", "--quiet"]
@@ -656,13 +692,13 @@ def test_selftest_rows_hold_without_avx512_dispatch():
     loops, which move low-order bits of the gaussians, are not dispatched."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("x86-64 dispatch targets")
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+    umath = multiarray_umath()
+    dispatch, features = umath.__cpu_dispatch__, umath.__cpu_features__
+    if "X86_V4" not in dispatch or not features.get("X86_V4"):
         pytest.skip("numpy does not dispatch X86_V4 on this host")
     disabled = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-                if f in __cpu_dispatch__ and __cpu_features__.get(f)]
-    child = ("import sys; from numpy._core._multiarray_umath import __cpu_features__; "
+                if f in dispatch and features.get(f)]
+    child = (f"import sys; from {umath.__name__} import __cpu_features__; "
              "from ddpm1d.cli import main; "
              "print('X86_V4', __cpu_features__['X86_V4'], file=sys.stderr); "
              "sys.exit(main(['selftest']))")

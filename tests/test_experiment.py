@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 
 from ddpm1d import experiment, schedule
 from ddpm1d.diffusion import generate_block, mlp_predictor, oracle_predictor
-from ddpm1d.errors import ConfigError, DivergenceError
+from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import (
     ExperimentConfig,
     TrialResult,
@@ -46,32 +47,32 @@ def tiny_cfg(**kw):
 
 def test_zero_epochs_returns_untouched_init():
     cfg = tiny_cfg(epochs=0)
-    params, final_loss = train_trial(cfg, 0)
+    params, final_loss, divergence = train_trial(cfg, 0)
     fresh = init_params(seed_stream(cfg.base_seed, 0))
     assert np.array_equal(params, fresh)
-    assert math.isnan(final_loss)
+    assert math.isnan(final_loss) and divergence is None
 
 
 def test_training_is_deterministic():
     cfg = tiny_cfg()
-    p1, l1 = train_trial(cfg, 1)
-    p2, l2 = train_trial(cfg, 1)
+    p1, l1, _ = train_trial(cfg, 1)
+    p2, l2, _ = train_trial(cfg, 1)
     assert np.array_equal(p1, p2)
     assert l1 == l2
 
 
 def test_trials_are_isolated():
     cfg = tiny_cfg()
-    p0, _ = train_trial(cfg, 0)
-    p1, _ = train_trial(cfg, 1)
+    p0, _, _ = train_trial(cfg, 0)
+    p1, _, _ = train_trial(cfg, 1)
     assert not np.array_equal(p0, p1)
 
 
 def test_epoch_mean_loss_drops_over_fifty_epochs():
     # same streams => the 1-epoch run reproduces epoch 1 of the 50-epoch run
     base = dict(trials=1, gens_per_trial=1, base_seed=7)
-    _, first = train_trial(ExperimentConfig(epochs=1, **base), 0)
-    _, fiftieth = train_trial(ExperimentConfig(epochs=50, **base), 0)
+    _, first, _ = train_trial(ExperimentConfig(epochs=1, **base), 0)
+    _, fiftieth, _ = train_trial(ExperimentConfig(epochs=50, **base), 0)
     assert fiftieth < first
 
 
@@ -87,18 +88,19 @@ def test_eval_stream_continues_init_stream(assert_drawn):
 def test_evaluate_trial_accepts_oracle_predictor():
     cfg = tiny_cfg(gens_per_trial=1000, error_metric="abs_mean")
     pred = oracle_predictor(cfg.x0, cfg.schedule())
-    assert evaluate_trial(pred, cfg, 0) < 0.05
+    err, divergence = evaluate_trial(pred, cfg, 0)
+    assert err < 0.05 and divergence is None
 
 
 def test_evaluate_trial_zero_params_error_large():
     cfg = tiny_cfg(gens_per_trial=200)
-    assert evaluate_trial(np.zeros(N_PARAMS), cfg, 0) > 1.0
+    assert evaluate_trial(np.zeros(N_PARAMS), cfg, 0)[0] > 1.0
 
 
 def test_gens_per_trial_one_is_single_sample_error():
     cfg = tiny_cfg(gens_per_trial=1)
-    params, _ = train_trial(cfg, 0)
-    err = evaluate_trial(params, cfg, 0)
+    params, _, _ = train_trial(cfg, 0)
+    err, _ = evaluate_trial(params, cfg, 0)
     pred = mlp_predictor(params, cfg.steps)
     x0_hats, diverged = generate_block(
         pred, 1, cfg.schedule(), cfg.sampler_options(), eval_stream(cfg, 0)
@@ -110,16 +112,16 @@ def test_gens_per_trial_one_is_single_sample_error():
 def test_error_metrics_differ():
     cfg_abs = tiny_cfg(gens_per_trial=50, error_metric="mean_abs")
     cfg_mean = replace(cfg_abs, error_metric="abs_mean")
-    params, _ = train_trial(cfg_abs, 0)
+    params, _, _ = train_trial(cfg_abs, 0)
     # |mean(x) - x0| <= mean|x - x0| always
-    assert evaluate_trial(params, cfg_mean, 0) <= evaluate_trial(params, cfg_abs, 0)
+    assert evaluate_trial(params, cfg_mean, 0)[0] <= evaluate_trial(params, cfg_abs, 0)[0]
 
 
 def test_run_trial_handles_divergence_mark():
     # exploding learning rate reliably drives the loss non-finite
     cfg = tiny_cfg(learning_rate=1e300, epochs=5)
     result, params = run_trial(cfg, 0)
-    assert result.diverged
+    assert result.diverged and result.divergence.startswith("training epoch ")
     assert math.isnan(result.gen_error)
     assert result.params is None
     assert params is result.params  # the pair perfbench unpacks
@@ -128,26 +130,23 @@ def test_run_trial_handles_divergence_mark():
 def test_training_divergence_reports_one_based_epoch():
     # one step per epoch; Adam at 1e300 survives the first and blows up in epoch 2
     cfg = tiny_cfg(learning_rate=1e300, epochs=5, batch_size=64)
-    with pytest.raises(DivergenceError) as err:
-        train_trial(cfg, 0)
-    step = err.value.step
-    assert f"epoch {step}" in str(err.value)
+    params, loss, divergence = train_trial(cfg, 0)
+    assert params is None and math.isnan(loss)
+    step = int(re.fullmatch(r"training epoch (\d+), minibatch \d+", divergence).group(1))
     # the step counts the epochs it took: one fewer trains without a blow-up
     assert step >= 2
-    train_trial(replace(cfg, epochs=step - 1), 0)
-    with pytest.raises(DivergenceError) as again:
-        train_trial(replace(cfg, epochs=step), 0)
-    assert again.value.step == step
+    assert train_trial(replace(cfg, epochs=step - 1), 0)[2] is None
+    assert train_trial(replace(cfg, epochs=step), 0)[2] == divergence
 
 
 def test_run_trial_flags_evaluation_divergence_and_keeps_params():
     # every x_T is drawn with std ~3e7, beyond the divergence limit
     cfg = tiny_cfg(noise=NoiseSpec("mixture", mix_prob=0.0, big_variance=1e15), epochs=1)
-    params, final_loss = train_trial(cfg, 0)
-    with pytest.raises(DivergenceError):
-        evaluate_trial(params, cfg, 0)
+    params, final_loss, _ = train_trial(cfg, 0)
+    err, divergence = evaluate_trial(params, cfg, 0)
+    assert math.isnan(err) and divergence == f"evaluation, all {cfg.gens_per_trial} chains"
     result, kept = run_trial(cfg, 0)
-    assert result.diverged
+    assert result.diverged and result.divergence == divergence
     assert result.final_epoch_loss == final_loss
     assert math.isnan(result.gen_error)
     assert np.array_equal(result.params, params)
@@ -280,12 +279,13 @@ def test_params_are_identical_across_worker_counts(monkeypatch):
 
 def test_a_diverged_record_equals_its_copy_from_the_pool():
     # a pickled nan comes back as a new object, and nan != nan
-    r = TrialResult(1, 123, math.nan, math.nan, True)
+    r = TrialResult(1, 123, math.nan, math.nan, "training epoch 2, minibatch 0")
     copy = pickle.loads(pickle.dumps(r))
     assert copy.gen_error is not r.gen_error
     assert copy == r and hash(copy) == hash(r)
     assert replace(r, params=np.ones(N_PARAMS)) == r  # θ is left out
-    assert replace(r, gen_error=0.5) != r and r != (1, 123, math.nan, math.nan, True)
+    assert replace(r, gen_error=0.5) != r and replace(r, divergence="evaluation") != r
+    assert r != (1, 123, math.nan, math.nan, "training epoch 2, minibatch 0")
 
 
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
@@ -302,10 +302,23 @@ def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):
     assert [run.results for run in pooled] == [run.results for run in serial]
 
 
+def test_a_distributions_records_do_not_depend_on_the_others_in_its_suite():
+    # the acceptance criteria read tables 1 and 2 from one suite of their five distributions
+    cfg = tiny_cfg(trials=3, epochs=2)
+    five = table1_distributions() + table2_distributions()[1:]
+    shared = {run.label: run for run in run_suite(cfg, five, workers=2)}
+    for distributions in (table1_distributions(), table2_distributions(), five[::-1]):
+        for run in run_suite(cfg, distributions, workers=1):
+            assert run.results == shared[run.label].results
+            assert run.summary == shared[run.label].summary
+            assert all(np.array_equal(a.params, b.params)
+                       for a, b in zip(run.results, shared[run.label].results, strict=True))
+
+
 def test_summarize_arithmetic():
     rows = [
-        TrialResult(0, 0, 0.1, 0.04, False),
-        TrialResult(1, 0, 0.1, 0.06, False),
+        TrialResult(0, 0, 0.1, 0.04, None),
+        TrialResult(1, 0, 0.1, 0.06, None),
     ]
     s = summarize(rows, "gaussian")
     assert s.mean_error == pytest.approx(0.05)
@@ -315,9 +328,9 @@ def test_summarize_arithmetic():
 
 def test_summarize_excludes_diverged():
     rows = [
-        TrialResult(0, 0, 0.1, 0.04, False),
-        TrialResult(1, 0, math.nan, math.nan, True),
-        TrialResult(2, 0, 0.1, 0.08, False),
+        TrialResult(0, 0, 0.1, 0.04, None),
+        TrialResult(1, 0, math.nan, math.nan, "evaluation, all 10 chains"),
+        TrialResult(2, 0, 0.1, 0.08, None),
     ]
     s = summarize(rows, "mix0.5")
     assert s.n_trials == 3
@@ -326,14 +339,15 @@ def test_summarize_excludes_diverged():
 
 
 def test_summarize_constant_errors():
-    rows = [TrialResult(i, 0, 0.1, 0.07, False) for i in range(100)]
+    rows = [TrialResult(i, 0, 0.1, 0.07, None) for i in range(100)]
     s = summarize(rows, "uniform")
     assert s.mean_error == pytest.approx(0.07)
     assert s.std_error == pytest.approx(0.0, abs=1e-12)
 
 
 def test_summarize_all_diverged_is_explicit():
-    rows = [TrialResult(i, 0, math.nan, math.nan, True) for i in range(3)]
+    rows = [TrialResult(i, 0, math.nan, math.nan, "training epoch 1, minibatch 0")
+            for i in range(3)]
     s = summarize(rows, "mix0.5")
     assert s.n_diverged == 3
     assert math.isnan(s.mean_error)
@@ -380,7 +394,7 @@ def test_matched_seeds_across_distributions():
     init = init_params(seed_stream(cfg.base_seed, 0))
     for base in (cfg, replace(cfg, normalize_mixture=True)):
         for label, spec in table1_distributions() + table2_distributions():
-            theta, _ = train_trial(replace(base, noise=spec, epochs=0), 0)
+            theta, _, _ = train_trial(replace(base, noise=spec, epochs=0), 0)
             assert np.array_equal(theta, init), label
     # and training from it then depends on the noise
     runs = run_suite(cfg, table1_distributions(), workers=1)
@@ -499,5 +513,5 @@ def test_sampler_options_follow_policy():
 def test_remainder_batch_is_trained():
     # 70 samples with batch 32 => batches of 32, 32, 6; a final loss exists
     cfg = tiny_cfg(samples_per_epoch=70, batch_size=32, epochs=1, trials=1)
-    _, loss = train_trial(cfg, 0)
+    _, loss, _ = train_trial(cfg, 0)
     assert math.isfinite(loss)
