@@ -13,9 +13,18 @@
  * order j = 0..31, so the compiler can compute a block's rows side by side in
  * vector lanes without moving a row's bits. A last, partial block is padded
  * with zero rows. The gradient turns this around: its lanes are hidden units,
- * VW to a GCC vector (8 under AVX-512, 4 under AVX2, else 2), and each of its
- * sums adds the rows in order, so its bits do not depend on VW either. The
- * loader builds for the widest of these ISAs that the host runs.
+ * VW to a GCC vector, and each of its sums adds the rows in order, so its bits
+ * do not depend on VW either.
+ *
+ * LANES(VW, ISA) writes the hot bodies once, and they are compiled once per
+ * lane width: the forward rows loop, the gradient, Adam's loop and the
+ * Box-Muller loop. Width 8 is compiled for AVX-512F and width 4 for AVX2, each
+ * by its target attribute and on x86-64 only; width 2 takes the build's own
+ * flags, on every platform. A GCC vector wider than its function's ISA is
+ * lowered badly, so each width keeps its own ISA. Loading the module picks the
+ * widest set that __builtin_cpu_supports finds the CPU and the OS running, up
+ * to MAX_VW, and names its width lane_width. So the flags name no ISA, and
+ * one build serves every host of a platform with the same bits.
  *
  * The entries loss_and_grad, adam and train_epoch share one loss-and-gradient
  * body and one Adam body. Adam runs its first 128 values in vector lanes and
@@ -47,17 +56,10 @@
 #define OFF_W2 (OFF_B1 + HIDDEN)
 #define OFF_B2 (OFF_W2 + HIDDEN)
 #define BLOCK 8
-/* the gradient's lanes: hidden units per vector, as wide as the build's ISA */
-#if defined(__AVX512F__)
-#define VW 8
-#elif defined(__AVX2__)
-#define VW 4
-#else
-#define VW 2
+/* the widest lanes that loading may pick; only tests lower it */
+#ifndef MAX_VW
+#define MAX_VW 8
 #endif
-#define NV (HIDDEN / VW)
-typedef double vec __attribute__((vector_size(VW * sizeof(double))));
-typedef long long lanes __attribute__((vector_size(VW * sizeof(double))));
 #define BETA1 0.9
 #define BETA2 0.999
 #define ADAM_EPS 1e-8
@@ -117,8 +119,10 @@ static int check_X(const arg *X, Py_ssize_t n)
 }
 
 /* The predictions of rows 0..m-1 of X (m <= BLOCK) into out[0..m-1]. The
- * ReLU passes NaN on, as numpy's maximum does. */
-static void forward_block(const double *th, const double *X, Py_ssize_t m, double *out)
+ * ReLU passes NaN on, as numpy's maximum does. Inlined into each width's
+ * bodies, so that its rows run in that width's ISA. */
+static inline __attribute__((always_inline)) void
+forward_block(const double *th, const double *X, Py_ssize_t m, double *out)
 {
     double x[BLOCK], t[BLOCK], s[BLOCK];
     for (int r = 0; r < BLOCK; r++) {
@@ -138,6 +142,141 @@ static void forward_block(const double *th, const double *X, Py_ssize_t m, doubl
         out[r] = s[r] + th[OFF_B2];
 }
 
+/* Adam's update of value i, elementwise in numpy's order, except that a first
+ * moment below DBL_MIN in magnitude is stored as +0. Where numpy's moment is
+ * subnormal, its update of th is below 2^-1000 and leaves any th of magnitude
+ * 2^-900 or more as it is, so th keeps numpy's bits there. */
+static inline __attribute__((always_inline)) void
+adam_value(double *restrict th, double *restrict m, double *restrict s, const double *restrict g,
+           double lr, double c1, double c2, int i)
+{
+    const double mi = BETA1 * m[i] + (1.0 - BETA1) * g[i];
+    m[i] = fabs(mi) < DBL_MIN ? 0.0 : mi;
+    s[i] = BETA2 * s[i] + (1.0 - BETA2) * (g[i] * g[i]);
+    th[i] = th[i] - lr * (m[i] / c1) / (sqrt(s[i] / c2) + ADAM_EPS);
+}
+
+/* A lane width and the hot bodies that LANES defines for it */
+typedef struct {
+    int width;
+    void (*forward)(const double *th, const double *X, Py_ssize_t n, double *out);
+    double (*grad)(const double *th, const double *x, const double *yy, Py_ssize_t n, double *g);
+    void (*adam)(double *restrict th, double *restrict m, double *restrict s,
+                 const double *restrict g, double lr, long long t);
+    void (*gaussians)(const double *u, const double *w, Py_ssize_t pairs, double *out);
+} lane_set;
+
+/* LANES(VW, ISA) defines width VW's hot bodies, each compiled for ISA:
+ *
+ * forward_VW: the predictions of the n rows of X into out, BLOCK rows at a time.
+ *
+ * grad_VW: the loss, the squared errors summed row by row, over n; returned.
+ * The gradient: each of the 129 sums adds its rows' terms in row order from
+ * +0, into g at the end. b2's term is d, the row's scaled error; unit j's terms
+ * are d * z_j for W2, and dz = d * W2_j times x, t and 1 for W1 and b1, in the
+ * rows where z_j > 0 (the ReLU subgradient at 0 is 0). The predictions run a
+ * block of rows at a time through forward_block; the gradient takes a unit per
+ * vector lane, VW at a time, over the block's rows in order. It computes z_j as
+ * forward_block does and masks an off unit's terms to +0, which leaves every
+ * sum's bits as skipping the unit would: a sum that starts at +0 never reaches
+ * -0, and adding +0 leaves any other value as it is. A NaN z_j is off, as it
+ * was skipped. It stays a function of its own: inlined into train_epoch's loop
+ * it runs slower.
+ *
+ * adam_VW: the t-th bias-corrected Adam step, in place on th, m and s: values
+ * 0..127 in vector lanes, whole vectors at any width, then value 128. The
+ * corrections 1 - beta^t come from pow, the function that Python's float ** int
+ * calls.
+ *
+ * gaussians_VW: the Box-Muller pairs of the gaussian noise block; see noise.
+ * It has no lanes, but its loop runs faster in AVX's VEX encoding than in SSE. */
+#define LANES(VW, ISA)                                                                         \
+    ISA static void forward_##VW(const double *th, const double *X, Py_ssize_t n, double *out) \
+    {                                                                                          \
+        for (Py_ssize_t i = 0; i < n; i += BLOCK)                                              \
+            forward_block(th, X + N_IN * i, n - i < BLOCK ? n - i : BLOCK, out + i);           \
+    }                                                                                          \
+                                                                                               \
+    ISA static double grad_##VW(const double *th, const double *x, const double *yy,           \
+                                Py_ssize_t n, double *g)                                       \
+    {                                                                                          \
+        typedef double vec __attribute__((vector_size(VW * sizeof(double))));                  \
+        typedef long long lanes __attribute__((vector_size(VW * sizeof(double))));             \
+        double pred[BLOCK], d[BLOCK];                                                          \
+        vec w0[HIDDEN / VW], w1[HIDDEN / VW], b1[HIDDEN / VW], w2[HIDDEN / VW];                \
+        vec gx[HIDDEN / VW], gt[HIDDEN / VW], gb1[HIDDEN / VW], gw2[HIDDEN / VW];              \
+        for (int j = 0; j < HIDDEN; j++) {                                                     \
+            w0[j / VW][j % VW] = th[N_IN * j];                                                 \
+            w1[j / VW][j % VW] = th[N_IN * j + 1];                                             \
+        }                                                                                      \
+        memcpy(b1, th + OFF_B1, sizeof b1);                                                    \
+        memcpy(w2, th + OFF_W2, sizeof w2);                                                    \
+        for (int k = 0; k < HIDDEN / VW; k++)                                                  \
+            gx[k] = gt[k] = gb1[k] = gw2[k] = (vec){0};                                        \
+        const double scale = 2.0 / (double)n;                                                  \
+        double sq = 0.0, gb2 = 0.0;                                                            \
+        for (Py_ssize_t i0 = 0; i0 < n; i0 += BLOCK) {                                         \
+            const Py_ssize_t m = n - i0 < BLOCK ? n - i0 : BLOCK;                              \
+            const double *xb = x + N_IN * i0;                                                  \
+            forward_block(th, xb, m, pred);                                                    \
+            for (Py_ssize_t r = 0; r < m; r++) {                                               \
+                const double e = pred[r] - yy[i0 + r];                                         \
+                d[r] = scale * e;                                                              \
+                sq += e * e;                                                                   \
+                gb2 += d[r];                                                                   \
+            }                                                                                  \
+            for (int k = 0; k < HIDDEN / VW; k++)                                              \
+                for (Py_ssize_t r = 0; r < m; r++) {                                           \
+                    const double xr = xb[N_IN * r], tr = xb[N_IN * r + 1];                     \
+                    const vec z = (xr * w0[k] + tr * w1[k]) + b1[k];                           \
+                    const lanes on = (lanes)(z > 0.0);                                         \
+                    const vec dz = d[r] * w2[k];                                               \
+                    gw2[k] += (vec)((lanes)(d[r] * z) & on);                                   \
+                    gx[k] += (vec)((lanes)(dz * xr) & on);                                     \
+                    gt[k] += (vec)((lanes)(dz * tr) & on);                                     \
+                    gb1[k] += (vec)((lanes)dz & on);                                           \
+                }                                                                              \
+        }                                                                                      \
+        for (int j = 0; j < HIDDEN; j++) {                                                     \
+            g[N_IN * j] = gx[j / VW][j % VW];                                                  \
+            g[N_IN * j + 1] = gt[j / VW][j % VW];                                              \
+        }                                                                                      \
+        memcpy(g + OFF_B1, gb1, sizeof gb1);                                                   \
+        memcpy(g + OFF_W2, gw2, sizeof gw2);                                                   \
+        g[OFF_B2] = gb2;                                                                       \
+        return sq / (double)n;                                                                 \
+    }                                                                                          \
+                                                                                               \
+    ISA static void adam_##VW(double *restrict th, double *restrict m, double *restrict s,     \
+                              const double *restrict g, double lr, long long t)                \
+    {                                                                                          \
+        const double c1 = 1.0 - pow(BETA1, (double)t), c2 = 1.0 - pow(BETA2, (double)t);       \
+        for (int i = 0; i < N_PARAMS - 1; i++)                                                 \
+            adam_value(th, m, s, g, lr, c1, c2, i);                                            \
+        adam_value(th, m, s, g, lr, c1, c2, N_PARAMS - 1);                                     \
+    }                                                                                          \
+                                                                                               \
+    ISA static void gaussians_##VW(const double *u, const double *w, Py_ssize_t pairs,         \
+                                   double *out)                                                \
+    {                                                                                          \
+        for (Py_ssize_t i = 0; i < pairs; i++) {                                               \
+            const double r = sqrt(-2.0 * w[i]), angle = (2.0 * M_PI) * u[2 * i + 1];           \
+            out[2 * i] = r * cos(angle);                                                       \
+            out[2 * i + 1] = r * sin(angle);                                                   \
+        }                                                                                      \
+    }                                                                                          \
+                                                                                               \
+    static const lane_set lanes_##VW = {VW, forward_##VW, grad_##VW, adam_##VW, gaussians_##VW};
+
+#if defined(__x86_64__)
+LANES(8, __attribute__((target("avx512f"))))
+LANES(4, __attribute__((target("avx2"))))
+#endif
+LANES(2, )
+
+/* the bodies of the widest width that the host runs, up to MAX_VW; set at load */
+static const lane_set *picked;
+
 static PyObject *forward(PyObject *self, PyObject *args)
 {
     arg a[] = {{"theta", 0, N_PARAMS}, {"X"}, {"out", 1}};
@@ -147,71 +286,11 @@ static PyObject *forward(PyObject *self, PyObject *args)
     const Py_ssize_t n = COUNT(a[2]);
     PyObject *result = NULL;
     if (check_X(&a[1], n) == 0) {
-        const double *th = a[0].view.buf, *x = a[1].view.buf;
-        double *o = a[2].view.buf;
-        for (Py_ssize_t i = 0; i < n; i += BLOCK)
-            forward_block(th, x + N_IN * i, n - i < BLOCK ? n - i : BLOCK, o + i);
+        picked->forward(a[0].view.buf, a[1].view.buf, n, a[2].view.buf);
         result = Py_NewRef(Py_None);
     }
     release(a, 3);
     return result;
-}
-
-/* Loss: the squared errors summed row by row, over n; returned. Gradient: each
- * of the 129 sums adds its rows' terms in row order from +0, into g at the end.
- * b2's term is d, the row's scaled error; unit j's terms are d * z_j for W2,
- * and dz = d * W2_j times x, t and 1 for W1 and b1, in the rows where z_j > 0
- * (the ReLU subgradient at 0 is 0). The predictions run a block of rows at a
- * time through forward_block; the gradient takes a unit per vector lane, VW at
- * a time, over the block's rows in order. It computes z_j as forward_block does
- * and masks an off unit's terms to +0, which leaves every sum's bits as
- * skipping the unit would: a sum that starts at +0 never reaches -0, and adding
- * +0 leaves any other value as it is. A NaN z_j is off, as it was skipped. */
-static double mse_grad(const double *th, const double *x, const double *yy, Py_ssize_t n,
-                       double *g)
-{
-    double pred[BLOCK], d[BLOCK];
-    vec w0[NV], w1[NV], b1[NV], w2[NV], gx[NV], gt[NV], gb1[NV], gw2[NV];
-    for (int j = 0; j < HIDDEN; j++) {
-        w0[j / VW][j % VW] = th[N_IN * j];
-        w1[j / VW][j % VW] = th[N_IN * j + 1];
-    }
-    memcpy(b1, th + OFF_B1, sizeof b1);
-    memcpy(w2, th + OFF_W2, sizeof w2);
-    for (int k = 0; k < NV; k++)
-        gx[k] = gt[k] = gb1[k] = gw2[k] = (vec){0};
-    const double scale = 2.0 / (double)n;
-    double sq = 0.0, gb2 = 0.0;
-    for (Py_ssize_t i0 = 0; i0 < n; i0 += BLOCK) {
-        const Py_ssize_t m = n - i0 < BLOCK ? n - i0 : BLOCK;
-        const double *xb = x + N_IN * i0;
-        forward_block(th, xb, m, pred);
-        for (Py_ssize_t r = 0; r < m; r++) {
-            const double e = pred[r] - yy[i0 + r];
-            d[r] = scale * e;
-            sq += e * e;
-            gb2 += d[r];
-        }
-        for (int k = 0; k < NV; k++)
-            for (Py_ssize_t r = 0; r < m; r++) {
-                const double xr = xb[N_IN * r], tr = xb[N_IN * r + 1];
-                const vec z = (xr * w0[k] + tr * w1[k]) + b1[k];
-                const lanes on = (lanes)(z > 0.0);
-                const vec dz = d[r] * w2[k];
-                gw2[k] += (vec)((lanes)(d[r] * z) & on);
-                gx[k] += (vec)((lanes)(dz * xr) & on);
-                gt[k] += (vec)((lanes)(dz * tr) & on);
-                gb1[k] += (vec)((lanes)dz & on);
-            }
-    }
-    for (int j = 0; j < HIDDEN; j++) {
-        g[N_IN * j] = gx[j / VW][j % VW];
-        g[N_IN * j + 1] = gt[j / VW][j % VW];
-    }
-    memcpy(g + OFF_B1, gb1, sizeof gb1);
-    memcpy(g + OFF_W2, gw2, sizeof gw2);
-    g[OFF_B2] = gb2;
-    return sq / (double)n;
 }
 
 static PyObject *loss_and_grad(PyObject *self, PyObject *args)
@@ -228,7 +307,7 @@ static PyObject *loss_and_grad(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "the batch is empty");
     else if (x_ok)
         result = PyFloat_FromDouble(
-            mse_grad(a[0].view.buf, a[1].view.buf, a[2].view.buf, n, a[3].view.buf));
+            picked->grad(a[0].view.buf, a[1].view.buf, a[2].view.buf, n, a[3].view.buf));
     release(a, 4);
     return result;
 }
@@ -248,31 +327,6 @@ static int check_lr(double lr)
     return lr > 0.0 ? 0 : value_error("learning rate must be > 0, got %R", lr, 0);
 }
 
-/* Adam's update of value i, elementwise in numpy's order, except that a first
- * moment below DBL_MIN in magnitude is stored as +0. Where numpy's moment is
- * subnormal, its update of th is below 2^-1000 and leaves any th of magnitude
- * 2^-900 or more as it is, so th keeps numpy's bits there. */
-static inline void adam_value(double *restrict th, double *restrict m, double *restrict s,
-                              const double *restrict g, double lr, double c1, double c2, int i)
-{
-    const double mi = BETA1 * m[i] + (1.0 - BETA1) * g[i];
-    m[i] = fabs(mi) < DBL_MIN ? 0.0 : mi;
-    s[i] = BETA2 * s[i] + (1.0 - BETA2) * (g[i] * g[i]);
-    th[i] = th[i] - lr * (m[i] / c1) / (sqrt(s[i] / c2) + ADAM_EPS);
-}
-
-/* The t-th bias-corrected Adam step, in place on th, m and s: values 0..127 in
- * vector lanes, whole vectors at any width, then value 128. The corrections
- * 1 - beta^t come from pow, the function that Python's float ** int calls. */
-static void adam_body(double *restrict th, double *restrict m, double *restrict s,
-                      const double *restrict g, double lr, long long t)
-{
-    const double c1 = 1.0 - pow(BETA1, (double)t), c2 = 1.0 - pow(BETA2, (double)t);
-    for (int i = 0; i < N_PARAMS - 1; i++)
-        adam_value(th, m, s, g, lr, c1, c2, i);
-    adam_value(th, m, s, g, lr, c1, c2, N_PARAMS - 1);
-}
-
 static PyObject *adam(PyObject *self, PyObject *args)
 {
     arg a[] = {{"theta", 1, N_PARAMS}, {"m", 1, N_PARAMS}, {"v", 1, N_PARAMS},
@@ -283,7 +337,7 @@ static PyObject *adam(PyObject *self, PyObject *args)
                           &t) ||
         check_lr(lr) < 0 || borrow(a, 4) < 0)
         return NULL;
-    adam_body(a[0].view.buf, a[1].view.buf, a[2].view.buf, a[3].view.buf, lr, t);
+    picked->adam(a[0].view.buf, a[1].view.buf, a[2].view.buf, a[3].view.buf, lr, t);
     release(a, 4);
     Py_RETURN_NONE;
 }
@@ -362,11 +416,7 @@ static PyObject *noise(PyObject *self, PyObject *args)
     else if (f != GAUSSIAN && COUNT(a[1]) != n)
         PyErr_SetString(PyExc_ValueError, "w must hold one value per uniform in u");
     else if (f == GAUSSIAN)
-        for (Py_ssize_t i = 0; i < n / 2; i++) {
-            const double r = sqrt(-2.0 * w[i]), angle = (2.0 * M_PI) * u[2 * i + 1];
-            out[2 * i] = r * cos(angle);
-            out[2 * i + 1] = r * sin(angle);
-        }
+        picked->gaussians(u, w, n / 2, out);
     else if (f == UNIFORM)
         for (Py_ssize_t i = 0; i < n; i++)
             out[i] = (2.0 * u[i] - 1.0) * sqrt(3.0);
@@ -387,8 +437,8 @@ static PyObject *noise(PyObject *self, PyObject *args)
 }
 
 /* One training epoch, in place on theta, m and v, on the rows X with targets y:
- * for each run of batch_size rows (the last one possibly short), mse_grad and
- * Adam step step + 1. Returns (the losses times their row counts, summed in
+ * for each run of batch_size rows (the last one possibly short), the gradient
+ * and Adam step step + 1. Returns (the losses times their row counts, summed in
  * order; the new step; None), or, at the first minibatch whose loss is not
  * finite, its index in place of None: its step is not taken. Nothing is
  * written before every argument has been checked. */
@@ -415,11 +465,11 @@ static PyObject *train_epoch(PyObject *self, PyObject *args)
         int diverged = 0;
         for (Py_ssize_t lo = 0; lo < n; lo += nb, k++) {
             nb = n - lo < batch ? n - lo : batch;
-            const double loss = mse_grad(th, X + N_IN * lo, y + lo, nb, g);
+            const double loss = picked->grad(th, X + N_IN * lo, y + lo, nb, g);
             if ((diverged = !isfinite(loss)))
                 break;
             sq += loss * (double)nb;
-            adam_body(th, m, s, g, lr, ++step);
+            picked->adam(th, m, s, g, lr, ++step);
         }
         result = diverged ? Py_BuildValue("(dLn)", sq, step, k)
                           : Py_BuildValue("(dLO)", sq, step, Py_None);
@@ -447,12 +497,31 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* Picks the widest lanes that the CPU and the OS run, up to MAX_VW. */
+static int pick_lanes(PyObject *module)
+{
+    picked = &lanes_2;
+#if defined(__x86_64__)
+    if (MAX_VW >= 4 && __builtin_cpu_supports("avx2"))
+        picked = &lanes_4;
+    if (MAX_VW >= 8 && __builtin_cpu_supports("avx512f"))
+        picked = &lanes_8;
+#endif
+    return PyModule_AddIntConstant(module, "lane_width", picked->width);
+}
+
+static PyModuleDef_Slot slots[] = {
+    {Py_mod_exec, pick_lanes},
+    {0, NULL},
+};
+
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
     .m_doc = "Network and noise kernel of ddpm1d.mlp and ddpm1d.noise.",
     .m_size = 0,
     .m_methods = methods,
+    .m_slots = slots,
 };
 
 /* Multi-phase initialization: loading the module leaves sys.modules alone, and

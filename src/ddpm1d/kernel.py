@@ -7,10 +7,10 @@ per-user directory, ``ddpm1d-kernel-<uid>`` under the system temp directory.
 ``load`` reads the source once and gcc compiles those bytes from its stdin;
 their sha256, the compiler's version, the flags and the extension suffix name
 the cached file, so an edited source, another compiler or another Python gets a
-build of its own. The default flags add the widest vector ISA that the host
-runs and that the gradient has lanes for, so each ISA has a build of its own
-too, with the same bits. A build writes a temporary name and publishes it with
-``os.replace``, so processes that build at once do not race.
+build of its own. The flags name no vector ISA: the loaded module picks the
+widest lanes that the host runs, and names their width ``lane_width``. A build
+writes a temporary name and publishes it with ``os.replace``, so processes that
+build at once do not race.
 """
 
 from __future__ import annotations
@@ -35,29 +35,15 @@ CC = "gcc"
 # an edit elsewhere in the file does not move their speed
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-functions=64",
          "-falign-loops=64")
-# numpy's name for each CPU feature that widens the gradient's lanes, widest first, and its flag
-ISA_FLAGS = (("AVX512F", "-mavx512f"), ("AVX2", "-mavx2"))
 
 
-@cache
-def host_flags() -> tuple[str, ...]:
-    """FLAGS and the flag of the first ISA_FLAGS feature that numpy finds the
-    host running (its table also checks that the OS saves the wide registers);
-    FLAGS alone if there is none."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return FLAGS + next(((f,) for name, f in ISA_FLAGS if __cpu_features__.get(name)), ())
-
-
-def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = None) -> ModuleType:
-    """The compiled kernel, built with ``CC`` and ``flags`` (default: ``host_flags()``)
-    into ``cache_dir`` (default: the cache described above) unless a build is already
-    there. Its ``provenance`` holds the sha256 of the bytes built, the compiler and flags.
+def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] = FLAGS) -> ModuleType:
+    """The compiled kernel, built with ``CC`` and ``flags`` into ``cache_dir``
+    (default: the cache described above) unless a build is already there. Its
+    ``provenance`` holds the sha256 of the bytes built, the compiler, the flags
+    and the lane width that loading picked.
 
     A missing compiler or ``Python.h`` raises FileNotFoundError naming it."""
-    flags = host_flags() if flags is None else flags
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     source, compiler = SOURCE.read_bytes(), compiler_version(CC)
     parts = [source, str(compiler).encode(), *(f.encode() for f in flags), suffix.encode()]
@@ -74,7 +60,8 @@ def load(cache_dir: str | Path | None = None, flags: tuple[str, ...] | None = No
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.provenance = {"source_sha256": hashlib.sha256(source).hexdigest(),
-                         "compiler": compiler, "flags": list(flags)}
+                         "compiler": compiler, "flags": list(flags),
+                         "lane_width": module.lane_width}
     return module
 
 

@@ -15,8 +15,8 @@ settings.load_profile("ddpm1d")
 
 
 def multiarray_umath():
-    """numpy's ``_multiarray_umath``, which holds its CPU tables. numpy < 2 keeps it
-    under ``numpy.core``, and ``kernel.host_flags`` reads it the same way."""
+    """numpy's ``_multiarray_umath``, which holds its CPU tables; numpy < 2 keeps it
+    under ``numpy.core``."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy < 2

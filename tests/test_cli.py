@@ -211,13 +211,13 @@ def test_run_single_tiny(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["worker_count"] >= 1
     assert manifest["artifact_version"]
-    assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags"}
+    assert set(manifest["kernel"]) == {"source_sha256", "compiler", "flags", "lane_width"}
     assert len(manifest["kernel"]["source_sha256"]) == 64
     flags = manifest["kernel"]["flags"]
     assert flags[:5] == ["-O2", "-ffp-contract=off", "-fno-math-errno", "-falign-functions=64",
                          "-falign-loops=64"]
-    assert flags[5:] in ([], ["-mavx2"], ["-mavx512f"])  # the host's ISA
-    assert flags == list(kernel.host_flags())
+    assert flags == list(kernel.FLAGS)
+    assert manifest["kernel"]["lane_width"] in (2, 4, 8)
 
 def test_manifest_round_trips_to_identical_config(tmp_path):
     config = write_tiny_config(

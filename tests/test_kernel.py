@@ -1,5 +1,5 @@
 """The compiled network kernel against a numpy reference, its input checks,
-its build cache and its independence from optimization and ISA flags; and
+its build cache and its independence from optimization flags and lane width; and
 ``train_epoch``, one call per training epoch, against the loop of
 ``loss_and_grad_arrays`` and ``adam_step`` that it replaces.
 
@@ -16,10 +16,12 @@ import functools
 import hashlib
 import json
 import math
+import platform
 import re
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -172,8 +174,9 @@ def test_zero_preactivation_has_zero_subgradient():
     assert grad[3] != 0.0 and grad[65] != 0.0 and grad[97] != 0.0
 
 
-# the ISA variants of the build; the gradient runs 2, 4 or 8 units to a vector
-ISAS = {"baseline": (), "avx2": ("-mavx2",), "avx512f": ("-mavx512f",)}
+# the kernel's lane widths, by the ISA that runs them: the gradient runs 2, 4 or 8
+# units to a vector
+WIDTHS = {"baseline": 2, "avx2": 4, "avx512f": 8}
 
 
 def host_runs(name):
@@ -181,25 +184,41 @@ def host_runs(name):
     return feature is None or bool(multiarray_umath().__cpu_features__.get(feature))
 
 
-def isa_or_skip(name):
-    """ISAS[name], or a skip where the host does not run it."""
+def width_or_skip(name):
+    """WIDTHS[name], or a skip where the host does not run it."""
     if not host_runs(name):
         pytest.skip(f"the host does not run {name}")
-    return ISAS[name]
+    return WIDTHS[name]
+
+
+def width_flags(name, *extra):
+    """The flags of a build that runs WIDTHS[name] lanes on a host that runs them:
+    MAX_VW caps the width that loading picks."""
+    return (*kernel.FLAGS, f"-DMAX_VW={WIDTHS[name]}", *extra)
+
+
+NATIVE = (*kernel.FLAGS, "-march=native", "-O3")
+# every flag set that the tests below ask ``build`` for
+BUILDS = [*map(width_flags, WIDTHS), *(width_flags(name, "-O3") for name in WIDTHS), NATIVE]
 
 
 @pytest.fixture(scope="session")
 def build(tmp_path_factory):
     """``build(flags)``: the kernel built with ``flags`` into one private directory,
     where ``kernel.load``'s hash names let every later test load that build again
-    instead of compiling it. Tests of the cache itself keep their own directories."""
-    return functools.partial(kernel.load, tmp_path_factory.mktemp("builds"))
+    instead of compiling it. Every flag set in BUILDS is compiled first, two at a
+    time: gcc runs outside the GIL. Tests of the cache itself keep their own
+    directories."""
+    load = functools.partial(kernel.load, tmp_path_factory.mktemp("builds"))
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(load, BUILDS))
+    return load
 
 
 @pytest.fixture(scope="module")
 def isa_builds(build):
-    """The kernel built for each ISA variant that the host runs, by name."""
-    return {name: build((*kernel.FLAGS, *isa)) for name, isa in ISAS.items() if host_runs(name)}
+    """The kernel built to run each lane width that the host runs, by ISA name."""
+    return {name: build(width_flags(name)) for name in WIDTHS if host_runs(name)}
 
 
 def loop_loss_and_grad(theta, X, y):
@@ -247,6 +266,7 @@ def test_unit_lanes_keep_the_skipping_loops_bits(isa_builds, n, case):
         loss, grad = loop_loss_and_grad(theta, X, y)
     assert isa_builds
     for name, k in isa_builds.items():
+        assert k.lane_width == WIDTHS[name]
         out = np.empty(N_PARAMS)
         got = k.loss_and_grad(theta, X, y, out)
         assert same_bits(np.array([got]), np.array([loss])), name
@@ -287,6 +307,7 @@ def test_adam_flushes_subnormal_first_moments_and_keeps_numpys_theta_and_v(isa_b
     m0 = np.where(dead, np.logspace(-300, -323.3, N_PARAMS), 1e-3) * (-1.0) ** np.arange(N_PARAMS)
     assert isa_builds
     for name, k in isa_builds.items():
+        assert k.lane_width == WIDTHS[name]
         theta, m, v = theta0.copy(), m0.copy(), np.zeros(N_PARAMS)
         ref_theta, ref_s = theta0.copy(), AdamState(m0.copy(), np.zeros(N_PARAMS))
         stuck = 0
@@ -383,13 +404,16 @@ def test_wrappers_refuse_what_the_kernel_cannot_read_as_it_is():
             assert s.step_count == 0 and not s.m.any() and not s.v.any()
 
 
-# each ISA at -O3, and -march=native, against the baseline build at -O2
-@pytest.mark.parametrize("name", [*ISAS, "native"])
+# each lane width at -O3, and -march=native, against width 2 at -O2
+@pytest.mark.parametrize("name", [*WIDTHS, "native"])
 def test_flags_do_not_move_the_bits(build, name):
-    extra = ("-march=native",) if name == "native" else isa_or_skip(name)
-    base = build(kernel.FLAGS)
-    variant = build((*kernel.FLAGS, *extra, "-O3"))
-    assert base.__file__ != variant.__file__
+    base = build(width_flags("baseline"))
+    if name == "native":
+        variant = build(NATIVE)
+    else:
+        variant = build(width_flags(name, "-O3"))
+        assert variant.lane_width == width_or_skip(name)
+    assert base.lane_width == 2 and base.__file__ != variant.__file__
     thetas = []
     for k in (base, variant):
         theta, m, v = random_theta(6), np.zeros(N_PARAMS), np.zeros(N_PARAMS)
@@ -414,10 +438,10 @@ def test_flags_do_not_move_the_bits(build, name):
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
-@pytest.mark.parametrize("name", ISAS)
-def test_the_kernel_compiles_without_warnings(tmp_path, name):
-    # -Wextra is left out: it warns on the unused ``self`` of every entry
-    k = kernel.load(tmp_path, (*kernel.FLAGS, *isa_or_skip(name), "-Wall", "-Werror"))
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    # one build compiles every width's bodies; -Wextra is left out: it warns on
+    # the unused ``self`` of every entry
+    k = kernel.load(tmp_path, (*kernel.FLAGS, "-Wall", "-Werror"))
     out = np.empty(1)
     k.forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
     assert out[0] == 81.0
@@ -469,15 +493,16 @@ NOISE_SPECS = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine")
                NoiseSpec("mixture", mix_prob=0.9, big_variance=7.3, normalize=True)]
 
 
-# the builds that test_flags_do_not_move_the_bits compares: each ISA, and -march=native -O3
-@pytest.mark.parametrize("name", [*ISAS, "native"])
+# each lane width, whose Box-Muller body is its own, and -march=native -O3
+@pytest.mark.parametrize("name", [*WIDTHS, "native"])
 @pytest.mark.parametrize("spec", NOISE_SPECS, ids=lambda spec: spec.label())
 def test_noise_has_the_numpy_formulas_bytes(isa_builds, build, monkeypatch, name, spec):
     if name == "native":
-        k = build((*kernel.FLAGS, "-march=native", "-O3"))
+        k = build(NATIVE)
     else:
-        isa_or_skip(name)
+        width_or_skip(name)
         k = isa_builds[name]
+        assert k.lane_width == WIDTHS[name]
     # sin and cos stay libm's scalar functions, which numpy's equal: no libmvec
     assert b"_ZGV" not in Path(k.__file__).read_bytes()
     monkeypatch.setattr(kernel, "default", lambda: k)
@@ -502,19 +527,15 @@ def test_noise_checks_its_family_and_lengths():
     assert out.tobytes() == NumpyNoise(seed_stream(0, 4)).gaussians(6).tobytes()
 
 
-def test_the_default_build_is_for_the_widest_isa_the_host_runs(tmp_path, monkeypatch):
-    umath = multiarray_umath()
-    host = umath.__cpu_features__
-    isa = ("-mavx512f",) if host.get("AVX512F") else ("-mavx2",) if host.get("AVX2") else ()
-    assert kernel.host_flags() == (*kernel.FLAGS, *isa)
-    assert kernel.load(tmp_path).provenance["flags"] == [*kernel.FLAGS, *isa]
-    kernel.load(tmp_path, (*kernel.FLAGS, *isa))
-    assert len(list(tmp_path.iterdir())) == 1  # the default build is that one
-    for features, want in [({"AVX512F": True, "AVX2": True}, ("-mavx512f",)),
-                           ({"AVX512F": False, "AVX2": True}, ("-mavx2",)),
-                           ({"AVX2": False}, ()), ({}, ())]:
-        monkeypatch.setattr(umath, "__cpu_features__", features)
-        assert kernel.host_flags.__wrapped__() == (*kernel.FLAGS, *want)
+def test_the_default_build_is_for_the_widest_isa_the_host_runs():
+    # the oracle is numpy's CPU table, which also checks that the OS saves the
+    # wide registers; the one build's flags name no ISA
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the wider lanes are x86-64's")
+    k = kernel.default()
+    widest = max(width for name, width in WIDTHS.items() if host_runs(name))
+    assert k.lane_width == k.provenance["lane_width"] == widest
+    assert k.provenance["flags"] == list(kernel.FLAGS)
 
 
 def test_another_compiler_gets_a_build_of_its_own(tmp_path, monkeypatch):
@@ -580,7 +601,8 @@ def test_load_reads_the_source_once_and_the_manifest_names_those_bytes(tmp_path,
     assert json.loads(path.read_text())["kernel"] == {
         "source_sha256": hashlib.sha256(original).hexdigest(),
         "compiler": kernel.compiler_version(kernel.CC),
-        "flags": list(kernel.host_flags()),
+        "flags": list(kernel.FLAGS),
+        "lane_width": k.lane_width,
     }
 
 
