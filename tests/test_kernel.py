@@ -438,10 +438,12 @@ def test_flags_do_not_move_the_bits(build, name):
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
-def test_the_kernel_compiles_without_warnings(tmp_path):
-    # one build compiles every width's bodies; -Wextra is left out: it warns on
-    # the unused ``self`` of every entry
-    k = kernel.load(tmp_path, (*kernel.FLAGS, "-Wall", "-Werror"))
+# every build compiles every width's bodies; each one here runs its own width's
+@pytest.mark.parametrize("name", WIDTHS)
+def test_the_kernel_compiles_without_warnings(tmp_path, name):
+    # -Wextra is left out: it warns on the unused ``self`` of every entry
+    k = kernel.load(tmp_path, width_flags(name, "-Wall", "-Werror"))
+    assert k.lane_width == width_or_skip(name)
     out = np.empty(1)
     k.forward(np.ones(N_PARAMS), np.array([[1.0, 0.5]]), out)
     assert out[0] == 81.0
