@@ -26,8 +26,9 @@ first and third quartile over ``repeats`` blocks (15), per call, in ``unit``:
   ``mlp.train_epoch``, from a state trained once for 1000 epochs and then on
   through the timed epochs: the late epochs, where a dead unit's Adam moment
   has decayed for hundreds of steps;
-- ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload
-  config (2000 chains of 500 steps) on weights trained there for 100 epochs;
+- ``evaluate_trial``: ``experiment.evaluate_trial`` at the ``sample`` workload's
+  config, read from ``perfbench/workloads/sample.json`` (2000 chains of 500
+  steps), on weights trained there for its 100 epochs;
 - ``reverse_step``: one step of that evaluation's reverse chains at t = 250,
   ``diffusion.reverse_mean`` with the same trained ``mlp_predictor`` and then
   the gaussian noise add, on 2000 chains;
@@ -72,7 +73,7 @@ from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, in
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
-FANOUT_CONFIG = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "fanout.json"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 
 def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str) -> dict:
@@ -90,9 +91,14 @@ def timed(fn, repeats: int, calls: int, unit_ns: float, inputs: dict, unit: str)
 
 
 def measure(tiny: bool) -> dict:
-    rows, batch, chains, steps, epochs = (20, 8, 20, 10, 2) if tiny else (2000, 64, 2000, 500, 10)
+    rows, batch, epochs = (20, 8, 2) if tiny else (2000, 64, 10)
     late_epochs = 5 if tiny else 1000
-    fanout_cfg = cli.parse_config(FANOUT_CONFIG)
+    fanout_cfg = cli.parse_config(WORKLOADS / "fanout.json")
+    # the sample workload's config, gaussian family, for evaluate_trial and reverse_step
+    eval_cfg = cli.parse_config(WORKLOADS / "sample.json")
+    if tiny:
+        eval_cfg = replace(eval_cfg, epochs=2, gens_per_trial=20, steps=10)
+    chains, steps = eval_cfg.gens_per_trial, eval_cfg.steps
     fanout_trials = 2 if tiny else fanout_cfg.trials  # per table1 family
     draws = 20 if tiny else 1000  # one epoch's samples
     repeats = 3 if tiny else 15
@@ -106,9 +112,6 @@ def measure(tiny: bool) -> dict:
     state = mlp.AdamState.zeros()
     train_cfg = ExperimentConfig(epochs=epochs, samples_per_epoch=16 * batch if tiny else 1000,
                                  batch_size=batch, steps=steps, trials=1)
-    # the sample workload's config (perfbench/workloads/sample.json), gaussian family
-    eval_cfg = ExperimentConfig(epochs=2 if tiny else 100, gens_per_trial=chains, steps=steps,
-                                trials=1)
     trained, _, _ = train_trial(eval_cfg, 0)
     u, eps = g.uniforms(draws), g.gaussians(draws)
     out = np.empty((draws, 2))

@@ -15,7 +15,7 @@ follows the family layout of the noise module.
 
 A state is diverged when it is non-finite or beyond DIVERGENCE_LIMIT.
 ``generate_block`` returns that as a per-chain mask; ``noiseless_reverse_chain``
-raises ``DivergenceError`` with the step.
+raises ``DivergenceError`` and names the step in its message.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ class SamplerOptions:
         schema.check(self)
 
 
-def gaussian_options(
-    sigma_mode: str = "beta", final_step_noiseless: bool = True
-) -> SamplerOptions:
-    return SamplerOptions(NoiseSpec("gaussian"), sigma_mode, final_step_noiseless)
+def gaussian_options(sigma_mode: str = "beta") -> SamplerOptions:
+    return SamplerOptions(NoiseSpec("gaussian"), sigma_mode)
 
 
 def oracle_predictor(x0: float, s: Schedule) -> Predictor:
@@ -123,5 +121,5 @@ def noiseless_reverse_chain(pred: Predictor, x_start: float, s: Schedule) -> flo
     for t in range(s.T, 0, -1):
         x = reverse_mean(pred, x, t, s)
         if not abs(x[0]) <= DIVERGENCE_LIMIT:
-            raise DivergenceError(f"state {x[0]} leaving step t={t} diverged", step=t)
+            raise DivergenceError(f"state {x[0]} leaving step t={t} diverged")
     return float(x[0])

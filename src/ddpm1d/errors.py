@@ -6,12 +6,6 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A diffusion chain or training run hit a non-finite or exploding value.
-
-    ``step`` is the 1-based reverse step where the blow-up was detected, when
-    known.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """A state left the finite range where no record can carry it: raised by
+    ``noiseless_reverse_chain`` (its message names the step ``t``) and by the
+    ``--dump-weights`` check when trial 0 has no trained weights."""

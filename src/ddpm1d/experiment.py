@@ -107,22 +107,11 @@ class TrialResult:
     gen_error: float
     divergence: str | None  # where the trial diverged, as "training epoch 2, minibatch 0"
     # the trained θ, None if training diverged; == and hash leave it out
-    params: np.ndarray | None = field(default=None, repr=False)
+    params: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def diverged(self) -> bool:
         return self.divergence is not None
-
-    def _reported(self) -> tuple:  # nan as None: a nan back from the pool is a new object
-        return tuple(None if v != v else v for v in (
-            self.trial_index, self.seed_used, self.final_epoch_loss, self.gen_error,
-            self.divergence))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TrialResult) and self._reported() == other._reported()
-
-    def __hash__(self) -> int:
-        return hash(self._reported())
 
 
 @dataclass(frozen=True)
@@ -172,17 +161,15 @@ def train_trial(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray | None, f
     return params, final_loss, None
 
 
-def evaluate_trial(
-    params: np.ndarray | diffusion.Predictor, cfg: ExperimentConfig, trial: int
-) -> tuple[float, str | None]:
-    """``(generation error, divergence)`` of a trained model (or any predictor) on
-    this trial's evaluation stream.
+def evaluate_trial(params: np.ndarray, cfg: ExperimentConfig,
+                   trial: int) -> tuple[float, str | None]:
+    """``(generation error, divergence)`` of trained weights on this trial's evaluation stream.
 
     mean_abs averages |x0_hat - x0| over the generated samples; abs_mean is
     |mean(x0_hat) - x0|. Diverged generations are excluded; if every one
     diverges, the error is nan and the divergence names the chains.
     """
-    pred = diffusion.mlp_predictor(params, cfg.steps) if isinstance(params, np.ndarray) else params
+    pred = diffusion.mlp_predictor(params, cfg.steps)
     g = eval_stream(cfg, trial)
     x0_hats, diverged = diffusion.generate_block(
         pred, cfg.gens_per_trial, cfg.schedule(), cfg.sampler_options(), g

@@ -41,6 +41,8 @@ def check_linear(beta1: float, betaT: float, T: int) -> None:
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta1}, {betaT})"
         )
+    if T == 1 and beta1 != betaT:  # linspace over one step keeps only beta_start
+        raise ConfigError(f"steps = 1 needs beta_start == beta_end, got ({beta1}, {betaT})")
 
 
 def build_linear(beta1: float, betaT: float, T: int) -> Schedule:

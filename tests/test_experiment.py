@@ -1,5 +1,4 @@
 import math
-import pickle
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from ddpm1d import experiment, schedule
-from ddpm1d.diffusion import generate_block, mlp_predictor, oracle_predictor
+from ddpm1d.diffusion import generate_block, mlp_predictor
 from ddpm1d.errors import ConfigError
 from ddpm1d.experiment import (
     ExperimentConfig,
@@ -83,13 +82,6 @@ def test_eval_stream_continues_init_stream(assert_drawn):
     assert_drawn(a, cfg.base_seed, 6, INIT_DRAWS)
     b = eval_stream(cfg, 3)
     assert np.array_equal(a.uniforms(5), b.uniforms(5))
-
-
-def test_evaluate_trial_accepts_oracle_predictor():
-    cfg = tiny_cfg(gens_per_trial=1000, error_metric="abs_mean")
-    pred = oracle_predictor(cfg.x0, cfg.schedule())
-    err, divergence = evaluate_trial(pred, cfg, 0)
-    assert err < 0.05 and divergence is None
 
 
 def test_evaluate_trial_zero_params_error_large():
@@ -261,7 +253,8 @@ def train_trial_diverging_on_uniform_trial_1(cfg, trial):
 
 
 def test_params_are_identical_across_worker_counts(monkeypatch):
-    # == leaves params out, so θ is compared here trial by trial
+    # == leaves params out, so θ is compared here trial by trial; repr is shortest
+    # round-trip, so an equal repr is equal bits, nan included, where nan != nan
     monkeypatch.setattr(experiment, "train_trial", train_trial_diverging_on_uniform_trial_1)
     cfg = tiny_cfg(trials=3, epochs=2)
     serial = run_suite(cfg, table1_distributions(), workers=1)
@@ -269,23 +262,12 @@ def test_params_are_identical_across_worker_counts(monkeypatch):
     records = [(a, b) for s, p in zip(serial, pooled) for a, b in zip(s.results, p.results)]
     assert len(records) == 9
     for a, b in records:
-        assert a == b
+        assert repr(a) == repr(b)
         if a.params is None:
             assert b.params is None
         else:
             assert a.params.shape == (N_PARAMS,) and np.array_equal(a.params, b.params)
     assert [a.params is None for a, _ in records] == [k == 4 for k in range(9)]
-
-
-def test_a_diverged_record_equals_its_copy_from_the_pool():
-    # a pickled nan comes back as a new object, and nan != nan
-    r = TrialResult(1, 123, math.nan, math.nan, "training epoch 2, minibatch 0")
-    copy = pickle.loads(pickle.dumps(r))
-    assert copy.gen_error is not r.gen_error
-    assert copy == r and hash(copy) == hash(r)
-    assert replace(r, params=np.ones(N_PARAMS)) == r  # θ is left out
-    assert replace(r, gen_error=0.5) != r and replace(r, divergence="evaluation") != r
-    assert r != (1, 123, math.nan, math.nan, "training epoch 2, minibatch 0")
 
 
 def test_run_suite_builds_one_pool_capped_at_task_count(monkeypatch):

@@ -95,3 +95,47 @@ def test_every_kernel_entry_has_a_caller():
     called = {n.func.attr for n in code_nodes(READERS)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
     assert entries and sorted(set(entries) - called) == []
+
+
+# the parameters that only tests pass, to build the kernel elsewhere or with other flags
+TEST_HOOKS = {("load", "cache_dir"), ("load", "flags")}
+
+
+def defaulted_parameters(tree):
+    """``(callee name, parameter, position)`` of each parameter with a default in
+    ``tree``. An ``__init__`` is called by its class's name, a method's position
+    leaves out ``self`` or ``cls``, and a keyword-only parameter has no position."""
+    methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef):
+            a = f.args
+            positional = (a.posonlyargs + a.args)[1 if id(f) in methods else 0:]
+            name = methods[id(f)] if f.name == "__init__" else f.name
+            first = len(positional) - len(a.defaults)
+            yield from ((name, p.arg, first + i) for i, p in enumerate(positional[first:]))
+            yield from ((name, p.arg, None)
+                        for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+
+def passes(call, parameter, position):
+    """Whether ``call`` passes ``parameter``, by name or by position."""
+    return (any(k.arg == parameter for k in call.keywords)
+            or position is not None and position < len(call.args))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_reader():
+    """Each parameter with a default of a ``src/ddpm1d`` function, method or
+    ``__init__`` is passed, by name or by position, in some call of that name
+    in the code of the package, ``scripts/``, ``perfbench/*.py`` or the
+    acceptance tests; a default that only unit tests override is a second
+    path that no run takes. It matches callee names, not bindings, and the
+    kernel's build hooks in TEST_HOOKS are exempt."""
+    calls = [n for n in code_nodes(READERS) if isinstance(n, ast.Call)]
+    callee = lambda c: getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+    unpassed = [f"{path.name}:{name}({parameter})" for path in sorted(PACKAGE.glob("*.py"))
+                for name, parameter, position in defaulted_parameters(
+                    ast.parse(path.read_text(encoding="utf-8")))
+                if (name, parameter) not in TEST_HOOKS
+                and not any(callee(c) == name and passes(c, parameter, position) for c in calls)]
+    assert unpassed == []

@@ -125,6 +125,10 @@ def test_unallocatable_step_count_rejected(T):
 )
 def test_schedule_invariants_hold_for_any_valid_input(a, b, T):
     beta1, betaT = min(a, b), max(a, b)
+    if T == 1 and beta1 != betaT:  # one step cannot reach beta_end
+        with pytest.raises(ConfigError, match="beta_start == beta_end"):
+            build_linear(beta1, betaT, T)
+        return
     s = build_linear(beta1, betaT, T)
     assert s.beta.shape == (T,)
     assert np.all((s.beta > 0.0) & (s.beta < 1.0))
@@ -133,5 +137,4 @@ def test_schedule_invariants_hold_for_any_valid_input(a, b, T):
     assert np.all(np.diff(ab) < 0.0) or T == 1
     assert 0.0 < ab[-1] <= ab[0] < 1.0
     assert s.beta[0] == beta1
-    if T > 1:
-        assert s.beta[s.index(T)] == betaT
+    assert s.beta[s.index(T)] == betaT
