@@ -67,9 +67,9 @@ from pathlib import Path
 import numpy as np
 
 from ddpm1d import cli, diffusion, kernel, mlp
-from ddpm1d.experiment import (ExperimentConfig, TrialResult, evaluate_trial, init_stream,
-                               run_trials, summarize, table1_distributions, train_stream,
-                               train_trial)
+from ddpm1d.experiment import (DistributionRun, ExperimentConfig, TrialResult, evaluate_trial,
+                               init_stream, run_trials, summarize, table1_distributions,
+                               train_stream, train_trial)
 from ddpm1d.noise import NoiseSpec, sample_block
 from ddpm1d.prng import seed_stream
 
@@ -139,13 +139,14 @@ def measure(tiny: bool) -> dict:
     for _ in range(late_epochs):
         late_epoch()
     losses, errors = g.uniforms(fanout_trials), g.uniforms(fanout_trials)
-    trials = [TrialResult(i, 0, float(losses[i]), float(errors[i]), None)
-              for i in range(fanout_trials)]
-    trial_rows = [("table1", label, r) for label, _ in table1_distributions() for r in trials]
-    summary_rows = [("table1", summarize(trials, label)) for label, _ in table1_distributions()]
+    runs = []
+    for label, _ in table1_distributions():
+        trials = [TrialResult(label, i, 0, float(losses[i]), float(errors[i]), None)
+                  for i in range(fanout_trials)]
+        runs.append(DistributionRun(label, trials, summarize(trials, label)))
     with tempfile.TemporaryDirectory() as out_dir:
-        write_csv = timed(lambda: cli.write_csv(trial_rows, summary_rows, out_dir), repeats,
-                          calls // 10 or 1, ms, {"rows": len(trial_rows)}, "ms")
+        write_csv = timed(lambda: cli.write_csv("table1", runs, out_dir), repeats,
+                          calls // 10 or 1, ms, {"rows": len(runs) * fanout_trials}, "ms")
         write_manifest = timed(lambda: cli.write_manifest(fanout_cfg, out_dir, 1.0, 2, "table1"),
                                repeats, calls // 10 or 1, ms, {"experiment": "table1"}, "ms")
     check = [sys.executable, "-m", "ddpm1d", "check"]

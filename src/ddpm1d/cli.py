@@ -25,8 +25,8 @@ from . import __version__, kernel
 from .errors import ConfigError, DivergenceError
 from .experiment import (
     REVERSE_NOISE_POLICIES,
+    DistributionRun,
     ExperimentConfig,
-    SummaryRow,
     TrialResult,
     run_suite,
     table1_distributions,
@@ -105,19 +105,16 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     return _write(path, lambda f: csv.writer(f).writerows(itertools.chain([header], rows)))
 
 
-def write_csv(
-    trial_rows: list[tuple[str, str, TrialResult]],
-    summary_rows: list[tuple[str, SummaryRow]],
-    out_dir: str | Path,
-) -> tuple[Path, Path]:
-    """Write trials.csv and summary.csv; rows keep the caller's canonical
-    (experiment, distribution, trial) order. Reals carry 9 significant digits."""
+def write_csv(experiment: str, runs: list[DistributionRun],
+              out_dir: str | Path) -> tuple[Path, Path]:
+    """Write trials.csv, one row per record, and summary.csv, one row per run, from
+    ``run_suite``'s runs in their order. Reals carry 9 significant digits."""
     out = Path(out_dir)
-    trials = ([experiment, distribution, r.trial_index, r.seed_used, _fmt(r.final_epoch_loss),
+    trials = ([experiment, r.distribution, r.trial_index, r.seed_used, _fmt(r.final_epoch_loss),
                _fmt(r.gen_error), "true" if r.diverged else "false"]
-              for experiment, distribution, r in trial_rows)
+              for run in runs for r in run.results)
     summaries = ([experiment, s.label, s.n_trials, s.n_diverged, _fmt(s.mean_error),
-                  _fmt(s.std_error)] for experiment, s in summary_rows)
+                  _fmt(s.std_error)] for s in (run.summary for run in runs))
     return (_write_rows(out / "trials.csv", ["experiment", "distribution", "trial", "seed",
                                              "final_loss", "gen_error", "diverged"], trials),
             _write_rows(out / "summary.csv", ["experiment", "distribution", "n_trials",
@@ -147,7 +144,8 @@ def _can_become(path: str, directory: bool) -> bool:
     """Whether ``path`` is non-empty and is, or creating its parents can make it, a directory
     (else a file). Outputs are written after the last trial, so _cmd_run asks before the first."""
     p = Path(path).absolute()
-    nearest = next(q for q in (p, *p.parents) if q.exists())
+    # lexists: a dangling link is taken, as mkdir fails on it
+    nearest = next(q for q in (p, *p.parents) if os.path.lexists(q))
     return bool(path) and nearest.is_dir() == (directory or nearest != p)
 
 
@@ -243,10 +241,10 @@ def _cmd_run(args) -> int:
 
     progress = None
     if not args.quiet:
-        def progress(label: str, r: TrialResult) -> None:
+        def progress(r: TrialResult) -> None:
             status = f" DIVERGED ({r.divergence})" if r.diverged else ""
             print(
-                f"[{label}] trial {r.trial_index}: loss={_fmt(r.final_epoch_loss)} "
+                f"[{r.distribution}] trial {r.trial_index}: loss={_fmt(r.final_epoch_loss)} "
                 f"err={_fmt(r.gen_error)}{status}",
                 file=sys.stderr,
             )
@@ -255,8 +253,6 @@ def _cmd_run(args) -> int:
     runs = run_suite(cfg, distributions, workers=args.workers, on_result=progress)
     wall = time.perf_counter() - start
 
-    trial_rows = [(args.experiment, run.label, r) for run in runs for r in run.results]
-    summary_rows = [(args.experiment, run.summary) for run in runs]
     weights = runs[0].results[0].params
     if args.dump_weights and weights is None:  # before any write, so a failed dump leaves none
         raise DivergenceError("cannot dump weights: trial 0 diverged during training")
@@ -264,10 +260,10 @@ def _cmd_run(args) -> int:
     (Path(args.out) / "manifest.json").unlink(missing_ok=True)
     if args.dump_weights:
         _write(args.dump_weights, lambda f: f.write(json.dumps(list(weights)) + "\n"))
-    write_csv(trial_rows, summary_rows, args.out)
+    write_csv(args.experiment, runs, args.out)
     write_manifest(cfg, args.out, wall, args.workers, args.experiment)
 
-    for _, s in summary_rows:
+    for s in (run.summary for run in runs):
         div = f" diverged={s.n_diverged}" if s.n_diverged else ""
         print(f"{s.label}: mean_error={_fmt(s.mean_error)} "
               f"std={_fmt(s.std_error)} n={s.n_trials}{div}")

@@ -101,6 +101,10 @@ def _schedule(beta_start: float, beta_end: float, steps: int) -> Schedule:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's record. ``distribution`` is its noise spec's ``label()``, the
+    name that trials.csv, summary.csv and the progress line print for it."""
+
+    distribution: str
     trial_index: int
     seed_used: int
     final_epoch_loss: float
@@ -189,21 +193,22 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> tuple[TrialResult, np.ndarra
     params, final_loss, divergence = train_trial(cfg, trial)
     gen_error, divergence = ((math.nan, divergence) if divergence
                              else evaluate_trial(params, cfg, trial))
-    r = TrialResult(trial, cfg.base_seed, final_loss, gen_error, divergence, params)
+    r = TrialResult(cfg.noise.label(), trial, cfg.base_seed, final_loss, gen_error, divergence,
+                    params)
     return r, r.params
 
 
 def run_trials(
     tasks: list[tuple[ExperimentConfig, int]],
     workers: int = 1,
-    on_result: Callable[[int, TrialResult], None] | None = None,
+    on_result: Callable[[TrialResult], None] | None = None,
 ) -> list[TrialResult]:
     """The records of ``(config, trial)`` tasks, run over one process pool of at most
     ``min(workers, len(tasks))`` workers when that is above 1, sent in chunks of
-    1/(4n) of the tasks. The output and the ``on_result(task index, result)``
-    calls follow task order. On Linux the pool forks: a forkserver or spawned
-    worker would start a fresh interpreter, about 0.3 s a pool. The kernel is
-    loaded first, so that the workers inherit it and none builds it again."""
+    1/(4n) of the tasks. The output and the ``on_result(record)`` calls follow
+    task order. On Linux the pool forks: a forkserver or spawned worker would
+    start a fresh interpreter, about 0.3 s a pool. The kernel is loaded first,
+    so that the workers inherit it and none builds it again."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     kernel.default()
@@ -214,10 +219,10 @@ def run_trials(
         pairs = (pool.map(run_trial, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * n)))
                  if pool else itertools.starmap(run_trial, tasks))
         out = []
-        for i, (result, _) in enumerate(pairs):
+        for result, _ in pairs:
             out.append(result)
             if on_result is not None:
-                on_result(i, result)
+                on_result(result)
     return out
 
 
@@ -266,16 +271,13 @@ def run_suite(
     cfg: ExperimentConfig,
     distributions: list[tuple[str, NoiseSpec]],
     workers: int = 1,
-    on_result: Callable[[str, TrialResult], None] | None = None,
+    on_result: Callable[[TrialResult], None] | None = None,
 ) -> list[DistributionRun]:
     """Run the same config across several noise distributions (matched seeds),
-    all ``(distribution, trial)`` tasks in one pool."""
-    labels = [label for label, _ in distributions]
+    all ``(distribution, trial)`` tasks in one pool, ``on_result`` seeing each
+    record in task order. Only the spec of each ``(label, spec)`` pair is read:
+    each run is named by its records' ``distribution``, the spec's ``label()``."""
     configs = [replace(cfg, noise=spec) for _, spec in distributions]
-    tasks = [(c, i) for c in configs for i in range(cfg.trials)]
-    callback = None
-    if on_result is not None:
-        callback = lambda k, r: on_result(labels[k // cfg.trials], r)
-    results = run_trials(tasks, workers, callback)
-    chunks = [results[j * cfg.trials : (j + 1) * cfg.trials] for j in range(len(labels))]
-    return [DistributionRun(label, c, summarize(c, label)) for label, c in zip(labels, chunks)]
+    results = run_trials([(c, i) for c in configs for i in range(cfg.trials)], workers, on_result)
+    chunks = (results[j : j + cfg.trials] for j in range(0, len(results), cfg.trials))
+    return [DistributionRun(c[0].distribution, c, summarize(c, c[0].distribution)) for c in chunks]

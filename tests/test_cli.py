@@ -19,7 +19,8 @@ from conftest import multiarray_umath
 from ddpm1d import cli, experiment, kernel
 from ddpm1d.cli import _build_parser, main, parse_config, write_csv
 from ddpm1d.errors import ConfigError
-from ddpm1d.experiment import ExperimentConfig, SummaryRow, TrialResult, run_trial
+from ddpm1d.experiment import (DistributionRun, ExperimentConfig, SummaryRow, TrialResult,
+                               run_trial)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +98,14 @@ def test_a_config_path_that_cannot_be_read_is_one_config_error_line(tmp_path, ca
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert str(tmp_path) in err and "not found" not in err
 
+def test_a_config_root_that_is_not_an_object_is_one_config_error_line(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: config root in {path} must be a JSON object\n"
+    assert captured.out == ""
+
 # files json.loads cannot read: a syntax error, an integer beyond Python's
 # int-from-string digit limit, bytes that are not UTF-8, nesting beyond the
 # recursion limit
@@ -162,24 +171,26 @@ def test_normalize_mixture_key(tmp_path):
     assert cfg.noise.normalize
 
 def test_write_csv_schema_and_order(tmp_path):
-    r = TrialResult(0, 9, 0.125, 0.0625, None)
-    rows = [("table2", "gaussian", r), ("table2", "mix0.9", r), ("table2", "mix0.5", r)]
     summaries = [
-        ("table2", SummaryRow("gaussian", 0.05, 0.01, 1, 0)),
-        ("table2", SummaryRow("mix0.9", 0.08, 0.01, 1, 0)),
-        ("table2", SummaryRow("mix0.5", 0.18, 0.02, 1, 0)),
+        SummaryRow("gaussian", 0.05, 0.01, 1, 0),
+        SummaryRow("mix0.9", 0.08, 0.01, 1, 0),
+        SummaryRow("mix0.5", 0.18, 0.02, 1, 0),
     ]
-    trials_path, summary_path = write_csv(rows, summaries, tmp_path)
+    runs = [DistributionRun(s.label, [TrialResult(s.label, 0, 9, 0.125, 0.0625, None)], s)
+            for s in summaries]
+    trials_path, summary_path = write_csv("table2", runs, tmp_path)
     trial_lines = trials_path.read_text().splitlines()
     assert trial_lines[0] == "experiment,distribution,trial,seed,final_loss,gen_error,diverged"
     assert trial_lines[1] == "table2,gaussian,0,9,0.125,0.0625,false"
+    assert [line.split(",")[1] for line in trial_lines[1:]] == ["gaussian", "mix0.9", "mix0.5"]
     summary_lines = summary_path.read_text().splitlines()
     assert summary_lines[0] == "experiment,distribution,n_trials,n_diverged,mean_error,std_error"
     assert [line.split(",")[1] for line in summary_lines[1:]] == ["gaussian", "mix0.9", "mix0.5"]
 
 def test_write_csv_nine_significant_digits(tmp_path):
-    r = TrialResult(0, 0, 1.0 / 3.0, 2.0 / 3.0, None)
-    trials_path, _ = write_csv([("single", "gaussian", r)], [], tmp_path)
+    r = TrialResult("gaussian", 0, 0, 1.0 / 3.0, 2.0 / 3.0, None)
+    run = DistributionRun("gaussian", [r], SummaryRow("gaussian", 2.0 / 3.0, 0.0, 1, 0))
+    trials_path, _ = write_csv("single", [run], tmp_path)
     row = trials_path.read_text().splitlines()[1]
     assert "0.333333333" in row
     assert "0.666666667" in row
@@ -310,9 +321,11 @@ def test_removed_sigma_mode_flag_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, name",
     [("--out", "results"), ("--out", "results/run1"), ("--out", ""),
-     ("--dump-weights", "results/w.json"), ("--dump-weights", "weights"), ("--dump-weights", "")],
+     ("--dump-weights", "results/w.json"), ("--dump-weights", "weights"), ("--dump-weights", ""),
+     ("--out", "dangling"), ("--dump-weights", "dangling/w.json")],
     ids=["existing-file", "path-under-file", "empty-out",
-         "weights-under-file", "weights-existing-directory", "empty-weights"],
+         "weights-under-file", "weights-existing-directory", "empty-weights",
+         "out-a-dangling-link", "weights-under-a-dangling-link"],
 )
 def test_out_that_cannot_be_a_directory_fails_before_any_trial(
     tmp_path, capsys, monkeypatch, flag, name
@@ -321,6 +334,7 @@ def test_out_that_cannot_be_a_directory_fails_before_any_trial(
     blocker = tmp_path / "results"
     blocker.write_text("not a directory\n")
     (tmp_path / "weights").mkdir()
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")  # mkdir cannot make it a directory
     path = str(tmp_path / name) if name else ""
     paths = {"--out": str(tmp_path / "out"), flag: path}
     config = write_tiny_config(tmp_path)

@@ -215,8 +215,8 @@ def test_on_result_callback_sees_every_trial(monkeypatch, workers):
     # trial 0 trains longest, so it is the last to complete in a pool
     tasks = [(tiny_cfg(epochs=40), 0), (tiny_cfg(epochs=1), 1), (tiny_cfg(epochs=1), 2)]
     seen = []
-    run_trials(tasks, workers=workers, on_result=lambda k, r: seen.append((k, r.trial_index)))
-    assert seen == [(0, 0), (1, 1), (2, 2)]
+    run_trials(tasks, workers=workers, on_result=lambda r: seen.append(r.trial_index))
+    assert seen == [0, 1, 2]
     assert RecordingPool.built == ([3] if workers == 3 else [])
 
 
@@ -226,12 +226,12 @@ def test_pool_gets_contiguous_chunks_of_an_eighth_of_the_tasks(monkeypatch):
     cfg = tiny_cfg(epochs=1, samples_per_epoch=8, batch_size=8, steps=10, gens_per_trial=1)
     tasks = [(cfg, i) for i in range(600)]
     seen = []
-    run_trials(tasks, workers=2, on_result=lambda k, r: seen.append((k, r.trial_index)))
+    run_trials(tasks, workers=2, on_result=lambda r: seen.append(r.trial_index))
     chunks = [chunk for (chunk,) in CountingProcessPool.submitted]
     assert len(chunks) <= 60  # 8 chunks of 600 // (4 * 2) tasks, not one task each
     assert [len(chunk) for chunk in chunks] == [75] * 8
     assert [task for chunk in chunks for task in chunk] == tasks
-    assert seen == [(k, k) for k in range(600)]
+    assert seen == list(range(600))
 
 
 def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
@@ -241,7 +241,7 @@ def test_an_unexpected_error_mid_chunk_stops_the_run(monkeypatch):
     seen = []
     with pytest.raises(RuntimeError, match="trial 6"):
         run_trials([(cfg, i) for i in range(40)], workers=2,
-                   on_result=lambda k, r: seen.append(k))
+                   on_result=lambda r: seen.append(r.trial_index))
     assert seen == [0, 1, 2, 3, 4]  # the first chunk came back; the rest is lost
 
 
@@ -299,8 +299,8 @@ def test_a_distributions_records_do_not_depend_on_the_others_in_its_suite():
 
 def test_summarize_arithmetic():
     rows = [
-        TrialResult(0, 0, 0.1, 0.04, None),
-        TrialResult(1, 0, 0.1, 0.06, None),
+        TrialResult("gaussian", 0, 0, 0.1, 0.04, None),
+        TrialResult("gaussian", 1, 0, 0.1, 0.06, None),
     ]
     s = summarize(rows, "gaussian")
     assert s.mean_error == pytest.approx(0.05)
@@ -310,9 +310,9 @@ def test_summarize_arithmetic():
 
 def test_summarize_excludes_diverged():
     rows = [
-        TrialResult(0, 0, 0.1, 0.04, None),
-        TrialResult(1, 0, math.nan, math.nan, "evaluation, all 10 chains"),
-        TrialResult(2, 0, 0.1, 0.08, None),
+        TrialResult("mix0.5", 0, 0, 0.1, 0.04, None),
+        TrialResult("mix0.5", 1, 0, math.nan, math.nan, "evaluation, all 10 chains"),
+        TrialResult("mix0.5", 2, 0, 0.1, 0.08, None),
     ]
     s = summarize(rows, "mix0.5")
     assert s.n_trials == 3
@@ -321,14 +321,14 @@ def test_summarize_excludes_diverged():
 
 
 def test_summarize_constant_errors():
-    rows = [TrialResult(i, 0, 0.1, 0.07, None) for i in range(100)]
+    rows = [TrialResult("uniform", i, 0, 0.1, 0.07, None) for i in range(100)]
     s = summarize(rows, "uniform")
     assert s.mean_error == pytest.approx(0.07)
     assert s.std_error == pytest.approx(0.0, abs=1e-12)
 
 
 def test_summarize_all_diverged_is_explicit():
-    rows = [TrialResult(i, 0, math.nan, math.nan, "training epoch 1, minibatch 0")
+    rows = [TrialResult("mix0.5", i, 0, math.nan, math.nan, "training epoch 1, minibatch 0")
             for i in range(3)]
     s = summarize(rows, "mix0.5")
     assert s.n_diverged == 3
@@ -343,6 +343,10 @@ def test_summarize_rejects_empty():
 def test_table_distribution_sets():
     assert [label for label, _ in table1_distributions()] == ["gaussian", "uniform", "arcsine"]
     assert [label for label, _ in table2_distributions()] == ["gaussian", "mix0.9", "mix0.5"]
+    # a pair's label is its spec's, the name that the records of its run carry
+    for normalize in (False, True):
+        for label, spec in table1_distributions() + table2_distributions(normalize):
+            assert label == spec.label()
     # a config with normalize_mixture normalizes the mixtures replaced into it
     norm = ExperimentConfig(normalize_mixture=True)
     for _, spec in table2_distributions()[1:]:
@@ -360,14 +364,19 @@ def test_run_suite_smoke():
 
 
 def test_run_table_wrappers():
-    cfg = tiny_cfg(trials=1, epochs=1)
-    rows1 = [run.summary for run in run_suite(cfg, table1_distributions())]
-    assert [s.label for s in rows1] == ["gaussian", "uniform", "arcsine"]
+    cfg = tiny_cfg(trials=2, epochs=1)
+    runs1 = run_suite(cfg, table1_distributions())
+    assert [run.summary.label for run in runs1] == ["gaussian", "uniform", "arcsine"]
     norm = replace(cfg, normalize_mixture=True)
-    rows2 = [run.summary for run in run_suite(norm, table2_distributions())]
-    assert [s.label for s in rows2] == ["gaussian", "mix0.9", "mix0.5"]
-    for s in rows1 + rows2:
-        assert s.n_trials == 1
+    runs2 = run_suite(norm, table2_distributions())
+    assert [run.summary.label for run in runs2] == ["gaussian", "mix0.9", "mix0.5"]
+    mix = replace(cfg, noise=NoiseSpec("mixture", mix_prob=0.25))  # as a single run builds it
+    single = run_suite(mix, [(mix.noise.label(), mix.noise)])
+    assert [run.summary.label for run in single] == ["mix0.25"]
+    for run in runs1 + runs2 + single:
+        assert run.summary.n_trials == 2
+        assert [r.distribution for r in run.results] == [run.label, run.label]
+        assert run.summary.label == run.label
 
 
 def test_matched_seeds_across_distributions():

@@ -669,6 +669,12 @@ def test_missing_build_tool_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_source_gcc_rejects_raises_and_leaves_no_file(tmp_path):
+    with pytest.raises(OSError, match=rf"^cannot build the network kernel: {kernel.CC} failed:"):
+        kernel._build(tmp_path / "_kernel.bad.so", b"this is not C\n", kernel.FLAGS)
+    assert list(tmp_path.iterdir()) == []  # neither the temporary nor the target
+
+
 SCHED = build_linear(1e-4, 0.02, 500)
 FAMILIES = [NoiseSpec("gaussian"), NoiseSpec("uniform"), NoiseSpec("arcsine"),
             NoiseSpec("mixture", mix_prob=0.5)]

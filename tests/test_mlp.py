@@ -158,6 +158,11 @@ def test_coarse_step_is_worse():
     assert finite_diff_check(p, batch, h=1e-1) > finite_diff_check(p, batch, h=1e-6)
 
 
+def test_finite_diff_rejects_a_zero_step():
+    with pytest.raises(ValueError, match="step size must be > 0"):
+        finite_diff_check(random_params(1), random_batch(1), h=0.0)
+
+
 def test_adam_zero_gradient_is_fixed_point():
     p = random_params(5)
     s = AdamState.zeros()

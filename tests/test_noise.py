@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ddpm1d import schema
 from ddpm1d.errors import ConfigError
-from ddpm1d.noise import NoiseSpec, moment_report, sample_block
+from ddpm1d.noise import MomentReport, NoiseSpec, moment_report, sample_block
 from ddpm1d.prng import seed_stream
 
 SQRT2 = np.sqrt(2.0)
@@ -72,6 +72,18 @@ def test_moment_report_two_draws_smoke():
     rep = moment_report(NoiseSpec("gaussian"), 2, seed_stream(0, 0))
     assert np.isfinite([rep.mean, rep.variance, rep.kurtosis]).all()
     assert rep.variance >= 0.0
+
+
+class ZeroUniforms:
+    """A stream whose uniforms are all 0, so every uniform-family draw is -sqrt(3)."""
+
+    def uniforms(self, n):
+        return np.zeros(n)
+
+
+def test_moment_report_of_a_constant_block_has_zero_variance_and_kurtosis():
+    rep = moment_report(NoiseSpec("uniform"), 2, ZeroUniforms())
+    assert rep == MomentReport(-SQRT3, 0.0, 0.0)
 
 
 def test_moment_report_rejects_tiny_n():
